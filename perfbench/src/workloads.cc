@@ -1,6 +1,9 @@
 #include "workloads.h"
 
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <array>
@@ -11,6 +14,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <variant>
 
 #include "alloc_count.h"
@@ -904,7 +908,7 @@ class ConformanceMatrix final : public Workload {
 
 // ---- fault_hunt ----------------------------------------------------------------
 
-constexpr int kHuntBudget = 48;
+constexpr int kHuntBudget = 32;
 constexpr int kSliceHuntBudget = 6;
 
 class FaultHuntWorkload final : public Workload {
@@ -919,6 +923,51 @@ class FaultHuntWorkload final : public Workload {
     RepStats stats;
     stats.reference = reference;
     stats.workers = 1;
+    std::vector<CellSample> samples;
+    // Each hunt runs on a thread of its own, as each `lazyeye_hunt` run is a
+    // process of its own: the thread-local world and message pools start
+    // cold and die with the hunt, so memory one hunt retains never carries
+    // into the next and peak RSS does not depend on the order of seeds.
+    std::thread hunter{[&] {
+      try {
+        hunt(reference, rep, start, stats, samples);
+      } catch (const std::exception& e) {
+        stats.errors.push_back(std::string{"hunt threw: "} + e.what());
+      }
+    }};
+    hunter.join();
+#ifdef __GLIBC__
+    // Hand the dead thread's freed memory back as its process exit would.
+    ::malloc_trim(0);
+#endif
+    for (const CellSample& sample : samples) local_samples().add(sample);
+    return stats;
+  }
+
+  std::string slice_output(std::uint64_t reference, int workers) override {
+    conf::HuntOptions options = hunt_options(reference);
+    options.budget = kSliceHuntBudget;
+    options.workers = workers;
+    conf::FaultHunt hunt{options, lazyeye::clients::local_testbed_profiles()};
+    return conf::FaultHunt::corpus_text(hunt.run().corpus);
+  }
+
+  std::string replay(std::uint64_t reference,
+                     std::uint64_t cell) const override {
+    return lazyeye::str_format(
+        "lazyeye_hunt hunt --journal hunt.journal --seed %llu --budget %llu  "
+        "# candidate %llu is the last one",
+        static_cast<unsigned long long>(reference_seed(reference)),
+        static_cast<unsigned long long>(cell + 1),
+        static_cast<unsigned long long>(cell));
+  }
+
+  std::string class_name(std::uint16_t) const override { return "candidate"; }
+
+ private:
+  /// One journaled hunt on the calling thread; candidates go to `samples`.
+  void hunt(std::uint64_t reference, std::uint32_t rep, std::uint64_t start,
+            RepStats& stats, std::vector<CellSample>& samples) const {
     std::filesystem::create_directories(tmp_dir_);
     const std::string journal =
         tmp_dir_ + "/hunt-" + std::to_string(::getpid()) + ".journal";
@@ -944,7 +993,7 @@ class FaultHuntWorkload final : public Workload {
       sample.leases = static_cast<std::uint32_t>(pool.leases() - last_leases);
       sample.reuses = static_cast<std::uint32_t>(pool.reuses() - last_reuses);
       sample.rep = rep;
-      local_samples().add(sample);
+      samples.push_back(sample);
       last_leases = pool.leases();
       last_reuses = pool.reuses();
       last_allocs = thread_allocations();
@@ -984,30 +1033,8 @@ class FaultHuntWorkload final : public Workload {
     stats.journal_bytes = std::filesystem::file_size(journal, ec);
     if (ec) stats.journal_bytes = 0;
     std::filesystem::remove(journal, ec);
-    return stats;
   }
 
-  std::string slice_output(std::uint64_t reference, int workers) override {
-    conf::HuntOptions options = hunt_options(reference);
-    options.budget = kSliceHuntBudget;
-    options.workers = workers;
-    conf::FaultHunt hunt{options, lazyeye::clients::local_testbed_profiles()};
-    return conf::FaultHunt::corpus_text(hunt.run().corpus);
-  }
-
-  std::string replay(std::uint64_t reference,
-                     std::uint64_t cell) const override {
-    return lazyeye::str_format(
-        "lazyeye_hunt hunt --journal hunt.journal --seed %llu --budget %llu  "
-        "# candidate %llu is the last one",
-        static_cast<unsigned long long>(reference_seed(reference)),
-        static_cast<unsigned long long>(cell + 1),
-        static_cast<unsigned long long>(cell));
-  }
-
-  std::string class_name(std::uint16_t) const override { return "candidate"; }
-
- private:
   static conf::HuntOptions hunt_options(std::uint64_t reference) {
     // The same options `lazyeye_hunt hunt --seed S --budget B` uses, so a
     // candidate replays from the command line.
