@@ -105,42 +105,39 @@ PassResult run_pass(Workload& workload, const Digests& digests,
 
 namespace {
 
-/// Weight of each repetition: 1 / (visits of its reference seed in the
-/// pass), so every reference seed a pass visited counts the same however
-/// many times the loop came round to it.
-std::vector<double> rep_weights(const PassResult& pass) {
-  std::map<std::uint64_t, int> visits;
-  for (const RepStats& r : pass.reps) ++visits[r.reference];
-  std::vector<double> weights;
-  for (const RepStats& r : pass.reps) weights.push_back(1.0 / visits[r.reference]);
-  return weights;
-}
-
-/// Lowest value whose cumulative weight reaches q of the total.
-double weighted_percentile(std::vector<std::pair<double, double>> samples,
-                           double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  double total = 0;
-  for (const auto& s : samples) total += s.second;
-  double cumulative = 0;
-  for (const auto& [value, weight] : samples) {
-    cumulative += weight;
-    if (cumulative >= q * total) return value;
+/// Marks one repetition per reference seed the pass visited: of that seed's
+/// visits, the one with the median wall time (the lower middle of an even
+/// count). A burst of host interference that slows a minority of visits
+/// then moves no figure, while a seed whose cells are slow on every visit
+/// still counts in full, and every seed counts once however often the loop
+/// came round to it.
+std::vector<bool> median_reps(const PassResult& pass) {
+  std::map<std::uint64_t, std::vector<std::size_t>> by_seed;
+  for (std::size_t i = 0; i < pass.reps.size(); ++i) {
+    by_seed[pass.reps[i].reference].push_back(i);
   }
-  return samples.back().first;
+  std::vector<bool> chosen(pass.reps.size(), false);
+  const auto wall = [&](std::size_t i) {
+    return pass.reps[i].setup_ns + pass.reps[i].run_ns;
+  };
+  for (auto& [reference, visits] : by_seed) {
+    std::sort(visits.begin(), visits.end(),
+              [&](std::size_t a, std::size_t b) { return wall(a) < wall(b); });
+    chosen[visits[(visits.size() - 1) / 2]] = true;
+  }
+  return chosen;
 }
 
 }  // namespace
 
 double cells_per_second(const PassResult& pass) {
-  const std::vector<double> weights = rep_weights(pass);
+  const std::vector<bool> chosen = median_reps(pass);
   double cells = 0;
   double wall = 0;
   for (std::size_t i = 0; i < pass.reps.size(); ++i) {
-    const RepStats& r = pass.reps[i];
-    cells += weights[i] * static_cast<double>(r.cells);
-    wall += weights[i] * static_cast<double>(r.setup_ns + r.run_ns);
+    if (!chosen[i]) continue;
+    cells += static_cast<double>(pass.reps[i].cells);
+    wall += static_cast<double>(pass.reps[i].setup_ns + pass.reps[i].run_ns);
   }
   return wall > 0 ? cells * 1e9 / wall : 0.0;
 }
@@ -152,14 +149,12 @@ void end_to_end_values(const PassResult& pass, MetricValues& out) {
   }
   out["setup_s"] = median(setup);
   out["cells_per_s"] = cells_per_second(pass);
-  const std::vector<double> weights = rep_weights(pass);
-  std::vector<std::pair<double, double>> cells;
-  for (const CellSample& s : pass.samples) {
-    cells.emplace_back(static_cast<double>(s.dur_ns) / kNsPerUs,
-                       s.rep < weights.size() ? weights[s.rep] : 1.0);
-  }
-  out["cell_p50_us"] = weighted_percentile(cells, 0.5);
-  out["cell_p99_us"] = weighted_percentile(cells, 0.99);
+  const std::vector<bool> chosen = median_reps(pass);
+  std::vector<double> cells = durations_us(pass.samples, [&](const CellSample& s) {
+    return s.rep < chosen.size() && chosen[s.rep];
+  });
+  out["cell_p50_us"] = percentile(cells, 0.5);
+  out["cell_p99_us"] = percentile(cells, 0.99);
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   out["peak_rss_mb"] = static_cast<double>(usage.ru_maxrss) / 1024.0;
@@ -273,8 +268,18 @@ void print_summary(std::FILE* out, const PassResult& pass,
                                     static_cast<double>(attempted),
                static_cast<unsigned long long>(pass.failed()),
                static_cast<unsigned long long>(attempted));
-  std::fprintf(out, "  cell percentiles over %zu executor calls (%zu beyond p99)\n",
-               pass.samples.size(), pass.samples.size() / 100);
+  const std::vector<bool> chosen = median_reps(pass);
+  const auto used = static_cast<std::size_t>(
+      std::count_if(pass.samples.begin(), pass.samples.end(),
+                    [&](const CellSample& s) {
+                      return s.rep < chosen.size() && chosen[s.rep];
+                    }));
+  std::fprintf(out,
+               "  cell percentiles over %zu executor calls (%zu beyond p99) of "
+               "%zu median repetitions\n",
+               used, used / 100,
+               static_cast<std::size_t>(
+                   std::count(chosen.begin(), chosen.end(), true)));
 }
 
 void print_breakdown(std::FILE* out, const PassResult& pass,

@@ -40,10 +40,10 @@ PassResult run_pass(Workload& workload, const Digests& digests,
                     bool traced, std::size_t min_reps, std::size_t max_reps);
 
 /// Cells delivered per wall second of the repetitions (setup and run; the
-/// driver's own digest checks between repetitions are left out). Each
-/// reference seed the pass visited weighs the same, so a loop that came
-/// round to some seeds once more than to others does not tilt the figure;
-/// cell_p50_us and cell_p99_us weigh their samples the same way.
+/// driver's own digest checks between repetitions are left out), over one
+/// repetition per reference seed visited: the visit with the median wall
+/// time. cell_p50_us and cell_p99_us take their samples from the same
+/// repetitions.
 double cells_per_second(const PassResult& pass);
 
 /// setup_s, cells_per_s, cell_p50_us, cell_p99_us, peak_rss_mb.
