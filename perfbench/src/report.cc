@@ -94,6 +94,9 @@ PassResult run_pass(Workload& workload, const Digests& digests,
     if (traced && tracer.span_count() >= kMaxPassSpans) break;
   }
   pass.wall_ns = now_ns() - begin;
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  pass.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
   tracer.set_enabled(false);
   pass.samples = take_samples();
   if (traced) {
@@ -155,9 +158,7 @@ void end_to_end_values(const PassResult& pass, MetricValues& out) {
   });
   out["cell_p50_us"] = percentile(cells, 0.5);
   out["cell_p99_us"] = percentile(cells, 0.99);
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  out["peak_rss_mb"] = static_cast<double>(usage.ru_maxrss) / 1024.0;
+  out["peak_rss_mb"] = pass.peak_rss_mb;
 }
 
 void layer_values(const std::map<std::string, PassResult>& traced,

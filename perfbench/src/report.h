@@ -24,6 +24,9 @@ struct PassResult {
   std::vector<CellSample> samples;  // executor calls (hunt candidates)
   std::vector<SpanRecord> spans;    // traced passes only
   std::uint64_t wall_ns = 0;        // the whole loop, setup included
+  /// getrusage max RSS when the loop ended, before any statistics are
+  /// computed from its samples.
+  double peak_rss_mb = 0;
   std::vector<std::string> errors;  // output mismatches of any repetition
 
   std::uint64_t cells() const;
