@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -268,10 +269,16 @@ int main(int argc, char** argv) {
       std::map<std::string, PassResult> single;
       for (const char* name : {"testbed_sweep", "conformance_matrix"}) {
         auto w = make_workload(name, tmp_dir);
+        std::exception_ptr failure;
         std::thread runner{[&] {
-          single[name] = run_pass(*w, digests, start, 0, 1, true, 1, 1);
+          try {
+            single[name] = run_pass(*w, digests, start, 0, 1, true, 1, 1);
+          } catch (...) {
+            failure = std::current_exception();
+          }
         }};
         runner.join();
+        if (failure) std::rethrow_exception(failure);
       }
       for (const auto& [name, pass] : traced) {
         append_errors(pass, errors);

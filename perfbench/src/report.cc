@@ -59,7 +59,6 @@ PassResult run_pass(Workload& workload, const Digests& digests,
                     bool traced, std::size_t min_reps, std::size_t max_reps) {
   PassResult pass;
   pass.workload = std::string{workload.name()};
-  pass.traced = traced;
   pass.workers = workers;
   Tracer& tracer = Tracer::instance();
   tracer.clear();

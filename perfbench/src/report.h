@@ -18,7 +18,6 @@ namespace perfbench {
 /// time budget is spent.
 struct PassResult {
   std::string workload;
-  bool traced = false;
   int workers = 0;
   std::vector<RepStats> reps;       // reps[i] recorded its samples as rep i
   std::vector<CellSample> samples;  // executor calls (hunt candidates)

@@ -933,6 +933,8 @@ class FaultHuntWorkload final : public Workload {
         hunt(reference, rep, start, stats, samples);
       } catch (const std::exception& e) {
         stats.errors.push_back(std::string{"hunt threw: "} + e.what());
+      } catch (...) {
+        stats.errors.push_back("hunt threw a non-standard exception");
       }
     }};
     hunter.join();
