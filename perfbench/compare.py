@@ -18,7 +18,9 @@ a verdict:
   regression   an end-to-end metric whose median is worse than the parent's
                by more than the bound in BENCHMARK.json
   unresolved   no gain, and the parent's own spread (IQR / median) is wider
-               than the bound, unless every change run beats every parent run
+               than the bound
+  better       as unresolved, except that every change run beats every
+               parent run: resolved as no worse, but not a gain
   unchanged    none of the above
   loss         (per-layer metrics, which have no bound) the mirror of gain
 
@@ -88,7 +90,7 @@ def verdict(parent, change, better, bound):
     if spread > bound:
         beats_all = (min(change) > max(parent) if sign > 0
                      else max(change) < min(parent))
-        return ("gain" if beats_all else "unresolved"), wins, n
+        return ("better" if beats_all else "unresolved"), wins, n
     return "unchanged", wins, n
 
 

@@ -4,6 +4,7 @@
 //                     [--digests FILE] [--out-dir DIR]
 //   lazyeye_perfbench --record-digests [--digests-out FILE]
 //   lazyeye_perfbench --list-metrics
+//   lazyeye_perfbench --setup-probe W
 //
 // --trace 0 measures W for T seconds with tracing off and prints the
 // end-to-end metrics. --trace 1 prints the per-layer ledger: a traced pass
@@ -14,6 +15,12 @@
 // against FILE, a slice of the matrix must give the same output at 1 and at
 // nproc workers, and the last line of stdout is the JSON result. The exit
 // code is non-zero when any output check fails.
+//
+// --setup-probe W runs one repetition of W in a fresh process and prints the
+// steady-clock time at which its first cell was claimed; --trace 0 starts
+// it kSetupProbes times and reports setup_s, the median time from spawning
+// the process to that claim.
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -50,6 +57,7 @@ struct Args {
   bool record = false;
   std::string digests_out;
   bool list = false;
+  bool setup_probe = false;
 };
 
 int usage() {
@@ -72,6 +80,10 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.record = true;
     } else if (flag == "--list-metrics") {
       args.list = true;
+    } else if (flag == "--setup-probe" && value != nullptr) {
+      args.setup_probe = true;
+      args.workload = value;
+      ++a;
     } else if (value == nullptr) {
       return false;
     } else if (flag == "--workload") {
@@ -104,7 +116,7 @@ bool parse_args(int argc, char** argv, Args& args) {
       return false;
     }
   }
-  if (args.record || args.list) return true;
+  if (args.record || args.list || args.setup_probe) return true;
   return !args.workload.empty() && args.seconds > 0 && args.trace >= 0;
 }
 
@@ -177,6 +189,62 @@ void check_worker_invariance(const std::string& name, const std::string& tmp_dir
   }
 }
 
+/// Processes started to measure setup_s; their median is reported.
+constexpr int kSetupProbes = 7;
+
+/// The --setup-probe child: one repetition of `name`, then the steady-clock
+/// time of its first claim on stdout.
+int setup_probe(const std::string& name, const std::string& tmp_dir) {
+  const auto workload = make_workload(name, tmp_dir);
+  if (workload == nullptr) return usage();
+  const std::uint64_t begin = now_ns();
+  const RepStats stats = workload->run(0, hardware_workers(), 0);
+  std::printf("%llu\n", static_cast<unsigned long long>(begin + stats.setup_ns));
+  return stats.errors.empty() ? 0 : 1;
+}
+
+/// Seconds from spawning a `--setup-probe` process to its first claimed
+/// cell: process start, profiles, harness or hunt construction, stream
+/// build and worker-pool start. Returns a negative value on failure.
+double spawn_setup_probe(const std::string& name, const std::string& out_dir) {
+  int fds[2];
+  if (::pipe(fds) != 0) return -1;
+  std::string self = "/proc/self/exe";
+  std::string probe_flag = "--setup-probe";
+  std::string workload = name;
+  std::string dir_flag = "--out-dir";
+  std::string dir = out_dir;
+  char* argv[] = {self.data(), probe_flag.data(), workload.data(),
+                  dir_flag.data(), dir.data(), nullptr};
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_adddup2(&actions, fds[1], STDOUT_FILENO);
+  posix_spawn_file_actions_addclose(&actions, fds[0]);
+  posix_spawn_file_actions_addclose(&actions, fds[1]);
+  pid_t child = 0;
+  const std::uint64_t spawned = now_ns();
+  const int rc =
+      ::posix_spawn(&child, self.c_str(), &actions, nullptr, argv, environ);
+  posix_spawn_file_actions_destroy(&actions);
+  ::close(fds[1]);
+  std::string text;
+  char buf[64];
+  for (ssize_t n; (n = ::read(fds[0], buf, sizeof buf)) > 0;) {
+    text.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fds[0]);
+  if (rc != 0) return -1;
+  int status = 0;
+  if (::waitpid(child, &status, 0) != child || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0) {
+    return -1;
+  }
+  char* end = nullptr;
+  const unsigned long long claimed = std::strtoull(text.c_str(), &end, 10);
+  if (end == text.c_str() || claimed < spawned) return -1;
+  return static_cast<double>(claimed - spawned) / 1e9;
+}
+
 void append_errors(const PassResult& pass, std::vector<std::string>& errors) {
   errors.insert(errors.end(), pass.errors.begin(), pass.errors.end());
 }
@@ -201,6 +269,7 @@ int main(int argc, char** argv) {
   }
   try {
     if (args.record) return record_digests(args.digests_out, tmp_dir);
+    if (args.setup_probe) return setup_probe(args.workload, tmp_dir);
 
     std::ifstream digest_file{args.digests};
     if (!digest_file) {
@@ -223,6 +292,15 @@ int main(int argc, char** argv) {
     const std::uint64_t start = start_index(args.seed);
     std::vector<std::string> errors;
     check_worker_invariance(args.workload, tmp_dir, start, errors);
+    std::vector<double> setup_times;
+    for (int i = 0; args.trace == 0 && i < kSetupProbes; ++i) {
+      const double seconds = spawn_setup_probe(args.workload, args.out_dir);
+      if (seconds < 0) {
+        errors.push_back(args.workload + ": setup probe process failed");
+        break;
+      }
+      setup_times.push_back(seconds);
+    }
     // Warm-up: lazy set-up, pool threads and first-use growth happen here,
     // not in the measured loop (its output is checked all the same).
     append_errors(run_pass(*workload, digests, start, 0, workers, false, 1, 1),
@@ -238,6 +316,7 @@ int main(int argc, char** argv) {
                                        SIZE_MAX);
       append_errors(pass, errors);
       end_to_end_values(pass, values);
+      values["setup_s"] = median(setup_times);
       attempted = pass.cells() + pass.failed();
       failed = pass.failed();
       print_summary(stdout, pass, values);

@@ -164,8 +164,9 @@ bool probe_events(std::uint64_t seed, std::uint64_t budget_ns,
     double far_share;
     std::uint64_t far_ms;
   };
-  // ~25 events within 400 ms: a testbed cell. Hundreds to thousands over
-  // seconds with far timers: web-tool repetitions and resolver cells.
+  // Assumed shapes, not measured ones: ~25 events within 400 ms for a
+  // testbed cell; hundreds to thousands over seconds, some past the wheel's
+  // horizon, for web-tool repetitions and resolver cells.
   for (const Shape& shape : {Shape{25, 400, 0.0, 0}, Shape{250, 2000, 0.3, 5000},
                              Shape{2500, 2000, 0.1, 30000}}) {
     Span span{SpanName::kProbeEventLoop, kNoCell};

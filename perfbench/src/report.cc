@@ -54,6 +54,23 @@ std::uint64_t PassResult::failed() const {
   return n;
 }
 
+namespace {
+
+/// Adds one visit of a reference seed: each sampled cell's host time.
+void record_visit(CellTimes& times, const std::vector<CellSample>& samples) {
+  const std::uint32_t visit = times.visits++;
+  if (visit >= kVisitsKept) return;
+  std::uint64_t cells = 0;
+  for (const CellSample& s : samples) cells = std::max(cells, s.cell + 1);
+  if (times.ns.size() < cells * kVisitsKept) times.ns.resize(cells * kVisitsKept);
+  for (const CellSample& s : samples) {
+    times.ns[s.cell * kVisitsKept + visit] = static_cast<std::uint32_t>(
+        std::clamp<std::uint64_t>(s.dur_ns, 1, UINT32_MAX));
+  }
+}
+
+}  // namespace
+
 PassResult run_pass(Workload& workload, const Digests& digests,
                     std::uint64_t start, std::uint64_t budget_ns, int workers,
                     bool traced, std::size_t min_reps, std::size_t max_reps) {
@@ -85,6 +102,12 @@ PassResult run_pass(Workload& workload, const Digests& digests,
     for (const std::string& e : stats.errors) {
       pass.errors.push_back(pass.workload + ": " + e);
     }
+    std::vector<CellSample> samples = take_samples();
+    if (traced) {
+      pass.samples.insert(pass.samples.end(), samples.begin(), samples.end());
+    } else {
+      record_visit(pass.cell_times[stats.reference], samples);
+    }
     pass.reps.push_back(std::move(stats));
     const std::size_t done = pass.reps.size();
     if (done >= max_reps) break;
@@ -97,7 +120,6 @@ PassResult run_pass(Workload& workload, const Digests& digests,
   getrusage(RUSAGE_SELF, &usage);
   pass.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
   tracer.set_enabled(false);
-  pass.samples = take_samples();
   if (traced) {
     pass.spans = tracer.collect();
     tracer.clear();
@@ -144,17 +166,25 @@ double cells_per_second(const PassResult& pass) {
   return wall > 0 ? cells * 1e9 / wall : 0.0;
 }
 
-void end_to_end_values(const PassResult& pass, MetricValues& out) {
-  std::vector<double> setup;
-  for (const RepStats& r : pass.reps) {
-    setup.push_back(static_cast<double>(r.setup_ns) / 1e9);
+std::vector<double> cell_medians_us(const PassResult& pass) {
+  std::vector<double> out;
+  std::vector<double> visits;
+  for (const auto& [reference, times] : pass.cell_times) {
+    for (std::size_t cell = 0; cell * kVisitsKept < times.ns.size(); ++cell) {
+      visits.clear();
+      for (std::uint32_t v = 0; v < kVisitsKept; ++v) {
+        const std::uint32_t ns = times.ns[cell * kVisitsKept + v];
+        if (ns != 0) visits.push_back(static_cast<double>(ns) / kNsPerUs);
+      }
+      if (!visits.empty()) out.push_back(median(visits));
+    }
   }
-  out["setup_s"] = median(setup);
+  return out;
+}
+
+void end_to_end_values(const PassResult& pass, MetricValues& out) {
   out["cells_per_s"] = cells_per_second(pass);
-  const std::vector<bool> chosen = median_reps(pass);
-  std::vector<double> cells = durations_us(pass.samples, [&](const CellSample& s) {
-    return s.rep < chosen.size() && chosen[s.rep];
-  });
+  std::vector<double> cells = cell_medians_us(pass);
   out["cell_p50_us"] = percentile(cells, 0.5);
   out["cell_p99_us"] = percentile(cells, 0.99);
   out["peak_rss_mb"] = pass.peak_rss_mb;
@@ -268,18 +298,18 @@ void print_summary(std::FILE* out, const PassResult& pass,
                                     static_cast<double>(attempted),
                static_cast<unsigned long long>(pass.failed()),
                static_cast<unsigned long long>(attempted));
-  const std::vector<bool> chosen = median_reps(pass);
-  const auto used = static_cast<std::size_t>(
-      std::count_if(pass.samples.begin(), pass.samples.end(),
-                    [&](const CellSample& s) {
-                      return s.rep < chosen.size() && chosen[s.rep];
-                    }));
+  std::size_t calls = 0;
+  for (const auto& [reference, times] : pass.cell_times) {
+    calls += static_cast<std::size_t>(
+        std::count_if(times.ns.begin(), times.ns.end(),
+                      [](std::uint32_t ns) { return ns != 0; }));
+  }
+  const std::size_t cells = cell_medians_us(pass).size();
   std::fprintf(out,
-               "  cell percentiles over %zu executor calls (%zu beyond p99) of "
-               "%zu median repetitions\n",
-               used, used / 100,
-               static_cast<std::size_t>(
-                   std::count(chosen.begin(), chosen.end(), true)));
+               "  cell percentiles over %zu cells of %zu reference seeds (%zu "
+               "beyond p99), each the median of up to %u visits (%zu executor "
+               "calls)\n",
+               cells, pass.cell_times.size(), cells / 100, kVisitsKept, calls);
 }
 
 void print_breakdown(std::FILE* out, const PassResult& pass,

@@ -14,14 +14,25 @@
 
 namespace perfbench {
 
+/// Host times of one reference seed's cells (hunt candidates) over the
+/// first kVisitsKept repetitions that ran it, in ns; 0 where a cell has no
+/// time (a failed cell, or a visit not yet made).
+inline constexpr std::uint32_t kVisitsKept = 5;
+struct CellTimes {
+  std::uint32_t visits = 0;
+  std::vector<std::uint32_t> ns;  // ns[cell * kVisitsKept + visit]
+};
+
 /// A closed-loop run of one workload: repetitions back to back until the
 /// time budget is spent.
 struct PassResult {
   std::string workload;
   int workers = 0;
   std::vector<RepStats> reps;       // reps[i] recorded its samples as rep i
-  std::vector<CellSample> samples;  // executor calls (hunt candidates)
+  std::vector<CellSample> samples;  // traced passes: every executor call
   std::vector<SpanRecord> spans;    // traced passes only
+  /// Untraced passes: per reference seed, each cell's host times.
+  std::map<std::uint64_t, CellTimes> cell_times;
   std::uint64_t wall_ns = 0;        // the whole loop, setup included
   /// getrusage max RSS when the loop ended, before any statistics are
   /// computed from its samples.
@@ -44,11 +55,17 @@ PassResult run_pass(Workload& workload, const Digests& digests,
 /// Cells delivered per wall second of the repetitions (setup and run; the
 /// driver's own digest checks between repetitions are left out), over one
 /// repetition per reference seed visited: the visit with the median wall
-/// time. cell_p50_us and cell_p99_us take their samples from the same
-/// repetitions.
+/// time.
 double cells_per_second(const PassResult& pass);
 
-/// setup_s, cells_per_s, cell_p50_us, cell_p99_us, peak_rss_mb.
+/// Per cell of every reference seed the pass visited, the median of its
+/// host times (µs) over the visits kept in `cell_times`. cell_p50_us and
+/// cell_p99_us are percentiles of these: the cost of the matrix's cells,
+/// with a visit slowed by host interference outvoted by the others.
+std::vector<double> cell_medians_us(const PassResult& pass);
+
+/// cells_per_s, cell_p50_us, cell_p99_us, peak_rss_mb (setup_s is measured
+/// in processes of its own).
 void end_to_end_values(const PassResult& pass, MetricValues& out);
 
 /// The per-layer ledger from traced passes keyed by workload name, plus the

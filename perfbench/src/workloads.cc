@@ -570,7 +570,7 @@ using LongOutcome =
 enum LongClass : std::uint16_t { kWebRepetition = 0, kResolverCell = 1 };
 
 struct WebPart {
-  std::string client;
+  ClientProfile profile;
   bool rd_mode = false;
 };
 
@@ -602,12 +602,12 @@ LongSetup make_long(std::uint64_t reference) {
   for (const ClientProfile& p : s.web_profiles) {
     s.matrix->add(
         s.tool->campaign_spec_stream(p, false, lazyeye::dns::RrType::kAaaa));
-    s.web_parts.push_back({p.display_name(), false});
+    s.web_parts.push_back({p, false});
   }
   for (const ClientProfile& p : {safari, chrome, akamai, cloudflare}) {
     s.matrix->add(
         s.tool->campaign_spec_stream(p, true, lazyeye::dns::RrType::kAaaa));
-    s.web_parts.push_back({p.display_name(), true});
+    s.web_parts.push_back({p, true});
   }
   for (const auto& service : lazyeye::resolvers::all_service_profiles()) {
     if (service.ipv6_resolution_capable) s.services.push_back(service);
@@ -646,8 +646,8 @@ void register_long(cp::Registry<LongOutcome>& registry, const LongSetup& setup,
       });
 }
 
-/// Table 3 rows (one per service) and the web tool's per-bucket tallies and
-/// CAD intervals (one per client and test), folded as cells stream in.
+/// Table 3 rows (one per service) and the web tool's per-bucket tallies (one
+/// per client and test), folded as cells stream in.
 class LongTable final : public cp::ResultSink<LongOutcome> {
  public:
   LongTable(const LongSetup& setup, const Matrix& matrix)
@@ -682,34 +682,15 @@ class LongTable final : public cp::ResultSink<LongOutcome> {
 
   std::string text() const {
     std::string out;
-    const auto& delays = setup_.tool->config().delays;
     for (std::size_t p = 0; p < web_.size(); ++p) {
       const WebTally& t = web_[p];
-      // CAD interval from per-bucket majorities, as WebTool reports it.
-      std::optional<SimTime> low;
-      std::optional<SimTime> high;
-      for (std::size_t i = 0; i < delays.size(); ++i) {
-        const auto& b = t.per_bucket[i];
-        if (b[0] + b[1] > 0 && b[0] >= b[1] && (!low || delays[i] > *low)) {
-          low = delays[i];
-        }
-      }
-      for (std::size_t i = 0; i < delays.size(); ++i) {
-        const auto& b = t.per_bucket[i];
-        if (b[0] + b[1] > 0 && b[0] < b[1] && (!low || delays[i] > *low) &&
-            (!high || delays[i] < *high)) {
-          high = delays[i];
-        }
-      }
-      out += lazyeye::str_format("webtool\t%s\t%s\t",
-                                 setup_.web_parts[p].client.c_str(),
-                                 setup_.web_parts[p].rd_mode ? "rd" : "cad");
+      out += lazyeye::str_format(
+          "webtool\t%s\t%s\t", setup_.web_parts[p].profile.display_name().c_str(),
+          setup_.web_parts[p].rd_mode ? "rd" : "cad");
       for (const auto& b : t.per_bucket) {
         out += lazyeye::str_format("%d/%d/%d ", b[0], b[1], b[2]);
       }
-      out += lazyeye::str_format("\tinconsistent=%d\tinterval=(%s,%s]\n",
-                                 t.inconsistent, time_or_dash(low).c_str(),
-                                 time_or_dash(high).c_str());
+      out += lazyeye::str_format("\tinconsistent=%d\n", t.inconsistent);
     }
     for (std::size_t s = 0; s < setup_.services.size(); ++s) {
       const auto row = lazyeye::resolverlab::aggregate_service(
@@ -748,7 +729,7 @@ class LongWorlds final : public Workload {
     LongTable table{setup, *setup.matrix};
     RepStats stats = run_matrix(registry, setup.matrix, table, workers, start,
                                 reference, rep);
-    stats.digest = digest_hex(table.text());
+    stats.digest = digest_hex(table.text() + web_reports(setup, reference));
     return stats;
   }
 
@@ -800,6 +781,39 @@ class LongWorlds final : public Workload {
   std::string class_name(std::uint16_t cls) const override {
     return cls == kWebRepetition ? "webtool-rep" : "resolver-cell";
   }
+
+ private:
+  /// The web tool's own reports for the matrix's web-tool rows: per-bucket
+  /// tallies and the CAD interval WebTool estimates from them. Computed once
+  /// per reference seed, outside the timed repetition (the report runs the
+  /// same repetitions again, through WebTool::run_cad_test / run_rd_test).
+  const std::string& web_reports(const LongSetup& setup,
+                                 std::uint64_t reference) {
+    auto [it, fresh] = reports_.try_emplace(reference);
+    if (!fresh) return it->second;
+    lazyeye::webtool::WebTool tool{setup.tool->config()};
+    for (const WebPart& part : setup.web_parts) {
+      const lazyeye::webtool::WebToolReport report =
+          part.rd_mode ? tool.run_rd_test(part.profile)
+                       : tool.run_cad_test(part.profile);
+      std::string& out = it->second;
+      out += lazyeye::str_format("webtool-report\t%s\t%s\t",
+                                 report.client.c_str(),
+                                 part.rd_mode ? "rd" : "cad");
+      for (const auto& d : report.per_delay) {
+        out += lazyeye::str_format("%d/%d/%d ", d.v6_used, d.v4_used,
+                                   d.failures);
+      }
+      out += lazyeye::str_format(
+          "\tinconsistent=%d/%d\tinterval=(%s,%s]\n",
+          report.inconsistent_repetitions, report.total_repetitions,
+          time_or_dash(report.interval_low).c_str(),
+          time_or_dash(report.interval_high).c_str());
+    }
+    return it->second;
+  }
+
+  std::map<std::uint64_t, std::string> reports_;
 };
 
 // ---- conformance_matrix ---------------------------------------------------

@@ -204,6 +204,36 @@ void test_digests_and_stats() {
         "client families");
 }
 
+void test_cell_medians() {
+  // Reference 7: cell 0 seen on three visits, cell 1 on one (its other
+  // visits failed); reference 9: one cell on one visit.
+  PassResult pass;
+  CellTimes& a = pass.cell_times[7];
+  a.visits = 3;
+  a.ns.assign(2 * kVisitsKept, 0);
+  a.ns[0] = 9000;
+  a.ns[1] = 1000;
+  a.ns[2] = 2000;
+  a.ns[kVisitsKept + 2] = 4000;
+  CellTimes& b = pass.cell_times[9];
+  b.visits = 1;
+  b.ns.assign(kVisitsKept, 0);
+  b.ns[0] = 3000;
+  std::vector<double> us = cell_medians_us(pass);
+  std::sort(us.begin(), us.end());
+  check(us == std::vector<double>{2, 3, 4},
+        "one value per cell: the median of its recorded visits, in us");
+
+  // An untraced pass keeps every cell's time per reference seed, and no
+  // samples.
+  Digests none;
+  const auto workload = make_workload("testbed_sweep", "");
+  const PassResult real = run_pass(*workload, none, 0, 0, 2, false, 2, 2);
+  check(real.samples.empty(), "untraced pass keeps no samples");
+  check(real.cell_times.size() == 2 && cell_medians_us(real).size() == real.cells(),
+        "untraced pass: one cell time per delivered cell");
+}
+
 void test_lint_clean() {
   namespace fs = std::filesystem;
   int scanned = 0;
@@ -234,6 +264,7 @@ int main() {
       {"names", test_names},
       {"fixed_order", test_fixed_order},
       {"digests_and_stats", test_digests_and_stats},
+      {"cell_medians", test_cell_medians},
       {"lint_clean", test_lint_clean},
   };
   for (const auto& [name, fn] : tests) {
