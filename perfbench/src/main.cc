@@ -17,9 +17,12 @@
 // code is non-zero when any output check fails.
 //
 // --setup-probe W runs one repetition of W in a fresh process and prints the
-// steady-clock time at which its first cell was claimed; --trace 0 starts
-// it kSetupProbes times and reports setup_s, the median time from spawning
-// the process to that claim.
+// process's CPU time at which its first cell was claimed; --trace 0 starts
+// it kSetupProbes times and reports setup_s, the median of those times.
+//
+// The end-to-end times are CPU time scaled to nominal host speed by the
+// calibration kernel (calibrate.h), run after every repetition and before
+// every set-up probe.
 #include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -37,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "calibrate.h"
 #include "metrics.h"
 #include "probes.h"
 #include "report.h"
@@ -125,6 +129,12 @@ int hardware_workers() {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
+/// Workers of the timed (--trace 0) loop and of the set-up probes. One
+/// thread leaves the host's other cores to its other tenants; more threads
+/// than idle cores would time the host's scheduler, not the program. The
+/// traced run and the worker-invariance check use nproc workers.
+constexpr int kTimedWorkers = 1;
+
 std::uint64_t to_ns(double seconds) {
   return static_cast<std::uint64_t>(seconds * 1e9);
 }
@@ -190,22 +200,24 @@ void check_worker_invariance(const std::string& name, const std::string& tmp_dir
 }
 
 /// Processes started to measure setup_s; their median is reported.
-constexpr int kSetupProbes = 7;
+constexpr int kSetupProbes = 9;
 
-/// The --setup-probe child: one repetition of `name`, then the steady-clock
-/// time of its first claim on stdout.
+/// The --setup-probe child: one repetition of `name`, then the process's
+/// CPU time at its first claim on stdout.
 int setup_probe(const std::string& name, const std::string& tmp_dir) {
   const auto workload = make_workload(name, tmp_dir);
   if (workload == nullptr) return usage();
-  const std::uint64_t begin = now_ns();
-  const RepStats stats = workload->run(0, hardware_workers(), 0);
-  std::printf("%llu\n", static_cast<unsigned long long>(begin + stats.setup_ns));
-  return stats.errors.empty() ? 0 : 1;
+  const RepStats stats = workload->run(0, kTimedWorkers, 0);
+  std::printf("%llu\n", static_cast<unsigned long long>(stats.claim_cpu_ns));
+  return stats.errors.empty() && stats.claim_cpu_ns != 0 ? 0 : 1;
 }
 
-/// Seconds from spawning a `--setup-probe` process to its first claimed
-/// cell: process start, profiles, harness or hunt construction, stream
-/// build and worker-pool start. Returns a negative value on failure.
+/// CPU seconds a `--setup-probe` process spends from its start to its first
+/// claimed cell: exec and static start, profiles, harness or hunt
+/// construction, stream build and worker-pool start; scaled to nominal host
+/// speed by a calibration reading taken just before (host_speed()). Waits
+/// (for a core, for the disk) do not count. Returns a negative value on
+/// failure.
 double spawn_setup_probe(const std::string& name, const std::string& out_dir) {
   int fds[2];
   if (::pipe(fds) != 0) return -1;
@@ -222,7 +234,7 @@ double spawn_setup_probe(const std::string& name, const std::string& out_dir) {
   posix_spawn_file_actions_addclose(&actions, fds[0]);
   posix_spawn_file_actions_addclose(&actions, fds[1]);
   pid_t child = 0;
-  const std::uint64_t spawned = now_ns();
+  const double speed = host_speed(calibration_ns());
   const int rc =
       ::posix_spawn(&child, self.c_str(), &actions, nullptr, argv, environ);
   posix_spawn_file_actions_destroy(&actions);
@@ -240,9 +252,9 @@ double spawn_setup_probe(const std::string& name, const std::string& out_dir) {
     return -1;
   }
   char* end = nullptr;
-  const unsigned long long claimed = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || claimed < spawned) return -1;
-  return static_cast<double>(claimed - spawned) / 1e9;
+  const unsigned long long claim_cpu = std::strtoull(text.c_str(), &end, 10);
+  if (end == text.c_str() || claim_cpu == 0) return -1;
+  return static_cast<double>(claim_cpu) / 1e9 * speed;
 }
 
 void append_errors(const PassResult& pass, std::vector<std::string>& errors) {
@@ -288,10 +300,11 @@ int main(int argc, char** argv) {
     if (workload == nullptr) return usage();
     std::filesystem::create_directories(args.out_dir);
 
-    const int workers = hardware_workers();
+    const int workers = args.trace == 0 ? kTimedWorkers : hardware_workers();
     const std::uint64_t start = start_index(args.seed);
     std::vector<std::string> errors;
     check_worker_invariance(args.workload, tmp_dir, start, errors);
+    (void)calibration_ns();  // sets its buffers up before anything is timed
     std::vector<double> setup_times;
     for (int i = 0; args.trace == 0 && i < kSetupProbes; ++i) {
       const double seconds = spawn_setup_probe(args.workload, args.out_dir);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "calibrate.h"
 #include "conformance/fault.h"
 
 namespace perfbench {
@@ -56,8 +57,10 @@ std::uint64_t PassResult::failed() const {
 
 namespace {
 
-/// Adds one visit of a reference seed: each sampled cell's host time.
-void record_visit(CellTimes& times, const std::vector<CellSample>& samples) {
+/// Adds one visit of a reference seed: each sampled cell's host time,
+/// multiplied by `scale` (nominal host speed).
+void record_visit(CellTimes& times, const std::vector<CellSample>& samples,
+                  double scale) {
   const std::uint32_t visit = times.visits++;
   if (visit >= kVisitsKept) return;
   std::uint64_t cells = 0;
@@ -65,7 +68,7 @@ void record_visit(CellTimes& times, const std::vector<CellSample>& samples) {
   if (times.ns.size() < cells * kVisitsKept) times.ns.resize(cells * kVisitsKept);
   for (const CellSample& s : samples) {
     times.ns[s.cell * kVisitsKept + visit] = static_cast<std::uint32_t>(
-        std::clamp<std::uint64_t>(s.dur_ns, 1, UINT32_MAX));
+        std::clamp<double>(static_cast<double>(s.dur_ns) * scale, 1, UINT32_MAX));
   }
 }
 
@@ -89,6 +92,7 @@ PassResult run_pass(Workload& workload, const Digests& digests,
       Span span{SpanName::kRepetition, rep};
       stats = workload.run(reference, workers, rep);
     }
+    stats.calibration_ns = calibration_ns();
     const std::string* expected = digests.find(pass.workload, reference);
     if (expected == nullptr) {
       pass.errors.push_back("no recorded digest for " + pass.workload + " " +
@@ -106,7 +110,8 @@ PassResult run_pass(Workload& workload, const Digests& digests,
     if (traced) {
       pass.samples.insert(pass.samples.end(), samples.begin(), samples.end());
     } else {
-      record_visit(pass.cell_times[stats.reference], samples);
+      record_visit(pass.cell_times[stats.reference], samples,
+                   host_scale(stats.calibration_ns));
     }
     pass.reps.push_back(std::move(stats));
     const std::size_t done = pass.reps.size();
@@ -129,9 +134,14 @@ PassResult run_pass(Workload& workload, const Digests& digests,
 
 namespace {
 
+/// A repetition's process CPU time at nominal host speed.
+double scaled_cpu_ns(const RepStats& r) {
+  return static_cast<double>(r.cpu_ns) * host_scale(r.calibration_ns);
+}
+
 /// Marks one repetition per reference seed the pass visited: of that seed's
-/// visits, the one with the median wall time (the lower middle of an even
-/// count). A burst of host interference that slows a minority of visits
+/// visits, the one with the median scaled CPU time (the lower middle of an
+/// even count). A burst of host interference that slows a minority of visits
 /// then moves no figure, while a seed whose cells are slow on every visit
 /// still counts in full, and every seed counts once however often the loop
 /// came round to it.
@@ -141,12 +151,10 @@ std::vector<bool> median_reps(const PassResult& pass) {
     by_seed[pass.reps[i].reference].push_back(i);
   }
   std::vector<bool> chosen(pass.reps.size(), false);
-  const auto wall = [&](std::size_t i) {
-    return pass.reps[i].setup_ns + pass.reps[i].run_ns;
-  };
   for (auto& [reference, visits] : by_seed) {
-    std::sort(visits.begin(), visits.end(),
-              [&](std::size_t a, std::size_t b) { return wall(a) < wall(b); });
+    std::sort(visits.begin(), visits.end(), [&](std::size_t a, std::size_t b) {
+      return scaled_cpu_ns(pass.reps[a]) < scaled_cpu_ns(pass.reps[b]);
+    });
     chosen[visits[(visits.size() - 1) / 2]] = true;
   }
   return chosen;
@@ -157,11 +165,21 @@ std::vector<bool> median_reps(const PassResult& pass) {
 double cells_per_second(const PassResult& pass) {
   const std::vector<bool> chosen = median_reps(pass);
   double cells = 0;
-  double wall = 0;
+  double cpu = 0;
   for (std::size_t i = 0; i < pass.reps.size(); ++i) {
     if (!chosen[i]) continue;
     cells += static_cast<double>(pass.reps[i].cells);
-    wall += static_cast<double>(pass.reps[i].setup_ns + pass.reps[i].run_ns);
+    cpu += scaled_cpu_ns(pass.reps[i]);
+  }
+  return cpu > 0 ? cells * 1e9 / cpu : 0.0;
+}
+
+double cells_per_wall_second(const PassResult& pass) {
+  double cells = 0;
+  double wall = 0;
+  for (const RepStats& r : pass.reps) {
+    cells += static_cast<double>(r.cells);
+    wall += static_cast<double>(r.setup_ns + r.run_ns);
   }
   return wall > 0 ? cells * 1e9 / wall : 0.0;
 }
@@ -281,10 +299,19 @@ void layer_values(const std::map<std::string, PassResult>& traced,
 
 void print_summary(std::FILE* out, const PassResult& pass,
                    const MetricValues& values) {
-  std::fprintf(out, "%s: %zu repetitions, %llu cells on %d workers in %.3f s\n",
+  std::vector<double> calibration;
+  for (const RepStats& r : pass.reps) {
+    calibration.push_back(static_cast<double>(r.calibration_ns) / 1e6);
+  }
+  std::fprintf(out,
+               "%s: %zu repetitions, %llu cells on %d workers in %.3f s "
+               "(%.6g cells per wall second); calibration kernel median "
+               "%.4g ms (nominal %.4g ms)\n",
                pass.workload.c_str(), pass.reps.size(),
                static_cast<unsigned long long>(pass.cells()), pass.workers,
-               static_cast<double>(pass.wall_ns) / 1e9);
+               static_cast<double>(pass.wall_ns) / 1e9,
+               cells_per_wall_second(pass), median(calibration),
+               kCalibrationNominalNs / 1e6);
   for (const MetricDef& def : end_to_end_metrics()) {
     const auto it = values.find(def.name);
     if (it == values.end()) continue;

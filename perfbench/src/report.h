@@ -14,10 +14,11 @@
 
 namespace perfbench {
 
-/// Host times of one reference seed's cells (hunt candidates) over the
-/// first kVisitsKept repetitions that ran it, in ns; 0 where a cell has no
-/// time (a failed cell, or a visit not yet made).
-inline constexpr std::uint32_t kVisitsKept = 5;
+/// CPU times at nominal host speed (calibrate.h) of one reference seed's
+/// cells (hunt candidates) over the first kVisitsKept repetitions that ran
+/// it, in ns; 0 where a cell has no time (a failed cell, or a visit not yet
+/// made).
+inline constexpr std::uint32_t kVisitsKept = 9;
 struct CellTimes {
   std::uint32_t visits = 0;
   std::vector<std::uint32_t> ns;  // ns[cell * kVisitsKept + visit]
@@ -52,14 +53,19 @@ PassResult run_pass(Workload& workload, const Digests& digests,
                     std::uint64_t start, std::uint64_t budget_ns, int workers,
                     bool traced, std::size_t min_reps, std::size_t max_reps);
 
-/// Cells delivered per wall second of the repetitions (setup and run; the
-/// driver's own digest checks between repetitions are left out), over one
-/// repetition per reference seed visited: the visit with the median wall
-/// time.
+/// Cells delivered per second of the process's CPU time at nominal host
+/// speed (calibrate.h) over the repetitions (setup and run; the driver's own
+/// digest checks and the calibration kernel are left out), over one
+/// repetition per reference seed visited: the visit with the median scaled
+/// CPU time.
 double cells_per_second(const PassResult& pass);
 
+/// Cells delivered per wall second over every repetition of the pass (for
+/// the summary only).
+double cells_per_wall_second(const PassResult& pass);
+
 /// Per cell of every reference seed the pass visited, the median of its
-/// host times (µs) over the visits kept in `cell_times`. cell_p50_us and
+/// scaled CPU times (µs) over the visits kept in `cell_times`. cell_p50_us and
 /// cell_p99_us are percentiles of these: the cost of the matrix's cells,
 /// with a visit slowed by host interference outvoted by the others.
 std::vector<double> cell_medians_us(const PassResult& pass);

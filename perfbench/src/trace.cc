@@ -1,5 +1,7 @@
 #include "trace.h"
 
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <memory>
@@ -14,6 +16,21 @@ std::uint64_t now_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+namespace {
+
+std::uint64_t clock_ns(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ULL +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
+}  // namespace
+
+std::uint64_t thread_cpu_ns() { return clock_ns(CLOCK_THREAD_CPUTIME_ID); }
+
+std::uint64_t process_cpu_ns() { return clock_ns(CLOCK_PROCESS_CPUTIME_ID); }
 
 std::string_view span_name(SpanName name) {
   static constexpr std::string_view kNames[kSpanNameCount] = {

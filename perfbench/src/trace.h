@@ -23,6 +23,12 @@ namespace perfbench {
 /// Nanoseconds on the host's monotonic clock.
 std::uint64_t now_ns();
 
+/// CPU time of the calling thread, and of the whole process, in ns. Time
+/// the thread waits (for a disk, for a core another thread holds, or while
+/// the hypervisor runs another guest on its vCPU) does not count.
+std::uint64_t thread_cpu_ns();
+std::uint64_t process_cpu_ns();
+
 /// Every span name the driver emits. The order is the report order.
 enum class SpanName : std::uint8_t {
   kRepetition,        // one workload repetition (setup + matrix)

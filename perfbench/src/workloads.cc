@@ -99,29 +99,80 @@ struct SampleBuffer {
   }
 };
 
-std::mutex g_samples_mutex;
+/// Every thread's buffer, and the buffers of threads that have ended (for
+/// the next new thread; their samples stay until take_samples() collects
+/// them). Never destroyed: pool threads end after static destruction.
+struct SampleBuffers {
+  std::mutex mutex;
+  std::vector<std::unique_ptr<SampleBuffer>> all;
+  std::vector<SampleBuffer*> free;
+};
 
-std::vector<std::unique_ptr<SampleBuffer>>& sample_buffers() {
-  static std::vector<std::unique_ptr<SampleBuffer>> buffers;
-  return buffers;
+SampleBuffers& sample_buffers() {
+  static SampleBuffers* buffers = new SampleBuffers;
+  return *buffers;
 }
 
-SampleBuffer& local_samples() {
-  thread_local SampleBuffer* buffer = nullptr;
-  if (buffer == nullptr) {
-    std::lock_guard<std::mutex> lock{g_samples_mutex};
-    sample_buffers().push_back(std::make_unique<SampleBuffer>());
-    buffer = sample_buffers().back().get();
+/// A thread's hold on its buffer; hands it back when the thread ends, so a
+/// thread per repetition does not add a buffer per repetition.
+struct BufferLease {
+  SampleBuffer* buffer = nullptr;
+  ~BufferLease() {
+    if (buffer == nullptr) return;
+    SampleBuffers& buffers = sample_buffers();
+    std::lock_guard<std::mutex> lock{buffers.mutex};
+    buffers.free.push_back(buffer);
   }
-  return *buffer;
+};
+
+SampleBuffer& local_samples() {
+  thread_local BufferLease lease;
+  if (lease.buffer == nullptr) {
+    SampleBuffers& buffers = sample_buffers();
+    std::lock_guard<std::mutex> lock{buffers.mutex};
+    if (buffers.free.empty()) {
+      buffers.all.push_back(std::make_unique<SampleBuffer>());
+      lease.buffer = buffers.all.back().get();
+    } else {
+      lease.buffer = buffers.free.back();
+      buffers.free.pop_back();
+    }
+  }
+  return *lease.buffer;
+}
+
+/// Runs one repetition's `body` on a thread of its own, as each campaign or
+/// `lazyeye_hunt` run is a process of its own: the thread-local world and
+/// message pools start cold and die with the repetition, so what one
+/// repetition leaves in them (a message a dns-corrupt cell inflated, say)
+/// never carries into the next, and neither the times nor peak RSS depend
+/// on the order in which a run visits the reference seeds. An exception
+/// becomes an error of the repetition.
+template <typename Body>
+void run_isolated(RepStats& stats, Body&& body) {
+  std::thread runner{[&] {
+    try {
+      body();
+    } catch (const std::exception& e) {
+      stats.errors.push_back(std::string{"repetition threw: "} + e.what());
+    } catch (...) {
+      stats.errors.push_back("repetition threw a non-standard exception");
+    }
+  }};
+  runner.join();
+#ifdef __GLIBC__
+  // Hand the dead thread's freed memory back as its process exit would.
+  ::malloc_trim(0);
+#endif
 }
 
 }  // namespace
 
 std::vector<CellSample> take_samples() {
   std::vector<CellSample> all;
-  std::lock_guard<std::mutex> lock{g_samples_mutex};
-  for (const auto& buffer : sample_buffers()) {
+  SampleBuffers& buffers = sample_buffers();
+  std::lock_guard<std::mutex> lock{buffers.mutex};
+  for (const auto& buffer : buffers.all) {
     all.insert(all.end(), buffer->kept.begin(), buffer->kept.end());
     buffer->kept.clear();
     buffer->seen = 0;
@@ -165,7 +216,8 @@ namespace {
 
 // ---- Campaign plumbing shared by the three campaign workloads --------------
 
-/// Times one layer executor call on its worker thread and records a sample.
+/// Times one layer executor call on its worker thread (its CPU time) and
+/// records a sample.
 /// The span encloses the measured window, so span bookkeeping never counts
 /// as cell time or cell allocations.
 template <typename Fn>
@@ -177,9 +229,9 @@ auto timed_call(SpanName span_name_id, const cp::ScenarioSpec& spec,
   const std::uint64_t leases = pool.leases();
   const std::uint64_t reuses = pool.reuses();
   const std::uint64_t allocs = thread_allocations();
-  const std::uint64_t start = now_ns();
+  const std::uint64_t start = thread_cpu_ns();
   auto outcome = fn();
-  const std::uint64_t end = now_ns();
+  const std::uint64_t end = thread_cpu_ns();
   CellSample sample;
   sample.dur_ns = end - start;
   sample.allocs = thread_allocations() - allocs;
@@ -237,16 +289,25 @@ class Matrix {
   std::size_t total_ = 0;
 };
 
+/// When a repetition's first cell was claimed: wall clock, and the
+/// process's CPU time so far.
+struct FirstClaim {
+  std::atomic<std::uint64_t> wall{0};
+  std::atomic<std::uint64_t> cpu{0};
+};
+
 /// The driver's spec stream: spans at() and notes the first claim.
 cp::SpecStream traced_stream(std::shared_ptr<const Matrix> matrix,
-                             std::atomic<std::uint64_t>* first_claim) {
+                             FirstClaim* first_claim) {
   const std::size_t n = matrix->size();
   return cp::SpecStream{n, [matrix = std::move(matrix),
                             first_claim](std::size_t i) {
     Span span{SpanName::kSpecAt, i};
-    if (first_claim->load(std::memory_order_relaxed) == 0) {
+    if (first_claim->wall.load(std::memory_order_relaxed) == 0) {
       std::uint64_t expected = 0;
-      first_claim->compare_exchange_strong(expected, now_ns());
+      if (first_claim->wall.compare_exchange_strong(expected, now_ns())) {
+        first_claim->cpu.store(process_cpu_ns());
+      }
     }
     return matrix->at(i);
   }};
@@ -283,10 +344,11 @@ template <typename R>
 RepStats run_matrix(const cp::Registry<R>& registry,
                     std::shared_ptr<const Matrix> matrix,
                     cp::ResultSink<R>& sink, int workers, std::uint64_t start,
-                    std::uint64_t reference, std::uint32_t rep) {
+                    std::uint64_t cpu_start, std::uint64_t reference,
+                    std::uint32_t rep) {
   RepStats stats;
   stats.reference = reference;
-  std::atomic<std::uint64_t> first_claim{0};
+  FirstClaim first_claim;
   const std::size_t total = matrix->size();
   const cp::SpecStream stream = traced_stream(std::move(matrix), &first_claim);
   CountingSink<R> counting{sink};
@@ -300,8 +362,10 @@ RepStats run_matrix(const cp::Registry<R>& registry,
     stats.errors.push_back(std::string{"campaign threw: "} + e.what());
   }
   const std::uint64_t end = now_ns();
-  std::uint64_t claimed = first_claim.load();
+  stats.cpu_ns = process_cpu_ns() - cpu_start;
+  std::uint64_t claimed = first_claim.wall.load();
   if (claimed == 0) claimed = end;
+  stats.claim_cpu_ns = first_claim.cpu.load();
   Tracer::instance().record(SpanName::kSetup, rep, start, claimed);
   const cp::CampaignRunner::RunStats run_stats = runner.last_run_stats();
   stats.cells = counting.cells();
@@ -520,16 +584,20 @@ class TestbedSweep final : public Workload {
   RepStats run(std::uint64_t reference, int workers,
                std::uint32_t rep) override {
     const std::uint64_t start = now_ns();
-    const TestbedSetup setup = make_testbed(reference);
-    cp::Registry<lazyeye::testbed::RunRecord> registry;
-    register_testbed(registry, setup, rep);
-    TestbedTable table;
-    RepStats stats = run_matrix(registry, setup.matrix, table, workers, start,
-                                reference, rep);
-    stats.digest = digest_hex(table.text());
-    for (std::string& e : table.anchor_errors()) {
-      stats.errors.push_back(std::move(e));
-    }
+    const std::uint64_t cpu_start = process_cpu_ns();
+    RepStats stats;
+    run_isolated(stats, [&] {
+      const TestbedSetup setup = make_testbed(reference);
+      cp::Registry<lazyeye::testbed::RunRecord> registry;
+      register_testbed(registry, setup, rep);
+      TestbedTable table;
+      stats = run_matrix(registry, setup.matrix, table, workers, start,
+                         cpu_start, reference, rep);
+      stats.digest = digest_hex(table.text());
+      for (std::string& e : table.anchor_errors()) {
+        stats.errors.push_back(std::move(e));
+      }
+    });
     return stats;
   }
 
@@ -723,13 +791,17 @@ class LongWorlds final : public Workload {
   RepStats run(std::uint64_t reference, int workers,
                std::uint32_t rep) override {
     const std::uint64_t start = now_ns();
-    const LongSetup setup = make_long(reference);
-    cp::Registry<LongOutcome> registry;
-    register_long(registry, setup, rep);
-    LongTable table{setup, *setup.matrix};
-    RepStats stats = run_matrix(registry, setup.matrix, table, workers, start,
-                                reference, rep);
-    stats.digest = digest_hex(table.text() + web_reports(setup, reference));
+    const std::uint64_t cpu_start = process_cpu_ns();
+    RepStats stats;
+    run_isolated(stats, [&] {
+      const LongSetup setup = make_long(reference);
+      cp::Registry<LongOutcome> registry;
+      register_long(registry, setup, rep);
+      LongTable table{setup, *setup.matrix};
+      stats = run_matrix(registry, setup.matrix, table, workers, start,
+                         cpu_start, reference, rep);
+      stats.digest = digest_hex(table.text() + web_reports(setup, reference));
+    });
     return stats;
   }
 
@@ -877,13 +949,17 @@ class ConformanceMatrix final : public Workload {
   RepStats run(std::uint64_t reference, int workers,
                std::uint32_t rep) override {
     const std::uint64_t start = now_ns();
-    const ConformanceSetup setup = make_conformance(reference);
-    cp::Registry<conf::ConformanceRecord> registry;
-    register_conformance(registry, setup, rep);
-    conf::VerdictTableSink table;
-    RepStats stats = run_matrix(registry, setup.matrix, table, workers, start,
-                                reference, rep);
-    stats.digest = digest_hex(table.text());
+    const std::uint64_t cpu_start = process_cpu_ns();
+    RepStats stats;
+    run_isolated(stats, [&] {
+      const ConformanceSetup setup = make_conformance(reference);
+      cp::Registry<conf::ConformanceRecord> registry;
+      register_conformance(registry, setup, rep);
+      conf::VerdictTableSink table;
+      stats = run_matrix(registry, setup.matrix, table, workers, start,
+                         cpu_start, reference, rep);
+      stats.digest = digest_hex(table.text());
+    });
     return stats;
   }
 
@@ -934,29 +1010,11 @@ class FaultHuntWorkload final : public Workload {
   RepStats run(std::uint64_t reference, int /*workers*/,
                std::uint32_t rep) override {
     const std::uint64_t start = now_ns();
+    const std::uint64_t cpu_start = process_cpu_ns();
     RepStats stats;
     stats.reference = reference;
     stats.workers = 1;
-    std::vector<CellSample> samples;
-    // Each hunt runs on a thread of its own, as each `lazyeye_hunt` run is a
-    // process of its own: the thread-local world and message pools start
-    // cold and die with the hunt, so memory one hunt retains never carries
-    // into the next and peak RSS does not depend on the order of seeds.
-    std::thread hunter{[&] {
-      try {
-        hunt(reference, rep, start, stats, samples);
-      } catch (const std::exception& e) {
-        stats.errors.push_back(std::string{"hunt threw: "} + e.what());
-      } catch (...) {
-        stats.errors.push_back("hunt threw a non-standard exception");
-      }
-    }};
-    hunter.join();
-#ifdef __GLIBC__
-    // Hand the dead thread's freed memory back as its process exit would.
-    ::malloc_trim(0);
-#endif
-    for (const CellSample& sample : samples) local_samples().add(sample);
+    run_isolated(stats, [&] { hunt(reference, rep, start, cpu_start, stats); });
     return stats;
   }
 
@@ -981,9 +1039,9 @@ class FaultHuntWorkload final : public Workload {
   std::string class_name(std::uint16_t) const override { return "candidate"; }
 
  private:
-  /// One journaled hunt on the calling thread; candidates go to `samples`.
+  /// One journaled hunt on the calling thread, a sample per candidate.
   void hunt(std::uint64_t reference, std::uint32_t rep, std::uint64_t start,
-            RepStats& stats, std::vector<CellSample>& samples) const {
+            std::uint64_t cpu_start, RepStats& stats) const {
     std::filesystem::create_directories(tmp_dir_);
     const std::string journal =
         tmp_dir_ + "/hunt-" + std::to_string(::getpid()) + ".journal";
@@ -992,6 +1050,7 @@ class FaultHuntWorkload final : public Workload {
     conf::HuntOptions options = hunt_options(reference);
     options.journal_path = journal;
     std::uint64_t last = 0;
+    std::uint64_t last_cpu = 0;
     std::uint64_t last_allocs = 0;
     const lazyeye::simnet::ScenarioPool& pool =
         lazyeye::simnet::ScenarioPool::local();
@@ -1003,16 +1062,17 @@ class FaultHuntWorkload final : public Workload {
       Tracer::instance().record(SpanName::kHuntCandidate, cell, last, now);
       Span span{SpanName::kHuntAfterCell, cell};
       CellSample sample;
-      sample.dur_ns = now - last;
+      sample.dur_ns = thread_cpu_ns() - last_cpu;
       sample.allocs = thread_allocations() - last_allocs;
       sample.cell = cell;
       sample.leases = static_cast<std::uint32_t>(pool.leases() - last_leases);
       sample.reuses = static_cast<std::uint32_t>(pool.reuses() - last_reuses);
       sample.rep = rep;
-      samples.push_back(sample);
+      local_samples().add(sample);
       last_leases = pool.leases();
       last_reuses = pool.reuses();
       last_allocs = thread_allocations();
+      last_cpu = thread_cpu_ns();
       last = now_ns();
     };
     conf::FaultHunt hunt{options, lazyeye::clients::local_testbed_profiles()};
@@ -1024,13 +1084,16 @@ class FaultHuntWorkload final : public Workload {
       last_leases = pool.leases();
       last_reuses = pool.reuses();
       last_allocs = thread_allocations();
+      last_cpu = thread_cpu_ns();
       last = now_ns();
       claimed = last;
+      stats.claim_cpu_ns = process_cpu_ns();
       result = hunt.run();
     } catch (const std::exception& e) {
       stats.errors.push_back(std::string{"hunt threw: "} + e.what());
     }
     const std::uint64_t end = now_ns();
+    stats.cpu_ns = process_cpu_ns() - cpu_start;
     if (claimed == 0) claimed = end;
     Tracer::instance().record(SpanName::kSetup, rep, start, claimed);
     stats.setup_ns = claimed - start;

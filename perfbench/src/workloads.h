@@ -33,14 +33,14 @@ namespace perfbench {
 /// Reference seeds per workload: repetition r of a run with seed s uses
 /// reference index (start_index(s) + r) mod kReferenceSeeds, and the
 /// reference index k runs with campaign seed k + 1.
-inline constexpr std::uint64_t kReferenceSeeds = 64;
+inline constexpr std::uint64_t kReferenceSeeds = 32;
 std::uint64_t start_index(std::uint64_t seed);
 inline std::uint64_t reference_seed(std::uint64_t index) { return index + 1; }
 
 /// One executor call (for fault_hunt: one candidate, the interval between
 /// two after_cell calls), recorded on the thread that ran it.
 struct CellSample {
-  std::uint64_t dur_ns = 0;
+  std::uint64_t dur_ns = 0;       // CPU time of that thread during the call
   std::uint64_t allocs = 0;       // operator new calls on that thread
   std::uint64_t cell = 0;         // index in the repetition's matrix
   std::uint32_t leases = 0;       // simnet::ScenarioPool::local() leases
@@ -62,6 +62,10 @@ struct RepStats {
   std::size_t failed = 0;        // quarantined or throwing cells
   std::uint64_t setup_ns = 0;    // repetition start -> first cell claimed
   std::uint64_t run_ns = 0;      // first cell claimed -> output complete
+  std::uint64_t cpu_ns = 0;      // process CPU time over setup_ns + run_ns
+  std::uint64_t calibration_ns = 0;  // calibration kernel right after it
+  std::uint64_t claim_cpu_ns = 0;  // process CPU time since process start,
+                                   // at the first claim
   std::size_t reorder_high_water = 0;
   int workers = 0;
   std::string digest;            // digest_hex() of the output text

@@ -1,6 +1,6 @@
 // The benchmark's own tests: span nesting and self time, metric and span
-// naming, fixed metric order, digest file parsing, percentiles, and the
-// repository linter over the benchmark's sources.
+// naming, fixed metric order, digest file parsing, percentiles, host-speed
+// scaling, and the repository linter over the benchmark's sources.
 //
 //   cmake --build .bench_build --target perfbench_test && .bench_build/perfbench_test
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "calibrate.h"
 #include "lint.h"
 #include "metrics.h"
 #include "report.h"
@@ -233,6 +234,39 @@ void test_cell_medians() {
   check(real.cell_times.size() == 2 && cell_medians_us(real).size() == real.cells(),
         "untraced pass: one cell time per delivered cell");
 }
+void test_host_scale() {
+  check(host_scale(0) == 1.0 && host_speed(0) == 1.0,
+        "no calibration reading: unscaled");
+  check(host_speed(static_cast<std::uint64_t>(2 * kCalibrationNominalNs)) == 0.5,
+        "a kernel twice as slow as nominal: half speed");
+  check(host_scale(static_cast<std::uint64_t>(2 * kCalibrationNominalNs)) == 0.25,
+        "a kernel twice as slow as nominal quarters the times");
+  (void)calibration_ns();
+  check(calibration_ns() > 0, "calibration kernel takes time");
+
+  // cells_per_s: per reference seed, the visit with the median scaled CPU
+  // time (lower middle of two), cells over scaled CPU seconds.
+  PassResult pass;
+  RepStats slow_host;
+  slow_host.reference = 3;
+  slow_host.cells = 100;
+  slow_host.cpu_ns = 4000000;
+  slow_host.calibration_ns = 3000000;  // scale 1/4: 1 ms
+  RepStats slow_program = slow_host;
+  slow_program.cpu_ns = 4000000;
+  slow_program.calibration_ns = 1500000;  // nominal: 4 ms
+  pass.reps = {slow_program, slow_host};
+  check(cells_per_second(pass) == 100000.0,
+        "cells_per_s over the median scaled visit");
+
+  Digests none;
+  const auto workload = make_workload("testbed_sweep", "");
+  const PassResult real = run_pass(*workload, none, 0, 0, 1, false, 2, 2);
+  for (const RepStats& r : real.reps) {
+    check(r.calibration_ns > 0 && r.cpu_ns > 0,
+          "every repetition has CPU time and a calibration reading");
+  }
+}
 
 void test_lint_clean() {
   namespace fs = std::filesystem;
@@ -265,6 +299,7 @@ int main() {
       {"fixed_order", test_fixed_order},
       {"digests_and_stats", test_digests_and_stats},
       {"cell_medians", test_cell_medians},
+      {"host_scale", test_host_scale},
       {"lint_clean", test_lint_clean},
   };
   for (const auto& [name, fn] : tests) {
