@@ -2,20 +2,22 @@
 // API from one process.
 //
 //   testbed_sweep       Figure 2 fine CAD sweep (+ Safari), RD cells with A
-//                       and AAAA delayed, 10+10 address selection; nproc
-//                       workers (testbed::LocalTestbed::run_spec).
+//                       and AAAA delayed, 10+10 address selection
+//                       (testbed::LocalTestbed::run_spec).
 //   long_worlds         web-tool CAD/RD repetitions next to the Table 3
-//                       cross-service resolver-lab grid; nproc workers
+//                       cross-service resolver-lab grid
 //                       (webtool::WebTool::run_repetition,
 //                       resolverlab::run_cell).
 //   conformance_matrix  the differential fault matrix plus generated
-//                       compound-schedule cells into a VerdictTableSink;
-//                       nproc workers (ConformanceHarness::run_spec).
+//                       compound-schedule cells into a VerdictTableSink
+//                       (ConformanceHarness::run_spec).
 //   fault_hunt          a journaled conformance::FaultHunt, workers = 1.
 //
-// Every workload is a closed loop: a worker claims its next cell only after
-// finishing the previous one. One repetition runs one whole matrix (or one
-// whole hunt) for one reference seed and hashes its output; the digest is
+// The first three run on the worker count the caller passes (1 in the
+// timed loop, nproc in the traced run). Every workload is a closed loop: a
+// worker claims its next cell only after finishing the previous one. One
+// repetition runs one whole matrix (or one whole hunt) for one reference
+// seed, on a thread of its own, and hashes its output; the digest is
 // compared with the recorded one for that seed (perfbench/digests.txt).
 #pragma once
 
