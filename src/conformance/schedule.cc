@@ -104,15 +104,6 @@ FaultSchedule FaultSchedule::generate(std::uint64_t seed, std::uint32_t stream,
 
 // ---- Codec ----------------------------------------------------------------
 
-namespace {
-
-/// Sanity cap: no legitimate schedule (generator: <=3 entries, search
-/// mutations: <16) comes anywhere near it; a decoded count above it means
-/// corrupt bytes, not a big schedule.
-constexpr std::uint32_t kMaxScheduleEntries = 64;
-
-}  // namespace
-
 void encode_schedule(const FaultSchedule& schedule, std::string& out) {
   wire::put_u64(out, schedule.seed);
   wire::put_u32(out, schedule.stream);

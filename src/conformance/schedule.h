@@ -104,6 +104,11 @@ struct FaultSchedule {
 
 // ---- Codec (journal payloads, corpus entries, --schedule-hex replay) ------
 
+/// Sanity cap on decoded entries: no legitimate schedule (generator: <=3
+/// entries, search mutations: <16) comes anywhere near it; a decoded count
+/// above it means corrupt bytes, not a big schedule.
+inline constexpr std::uint32_t kMaxScheduleEntries = 64;
+
 /// Serialises `schedule` (appends to `out`). Pure function of the value, so
 /// equal schedules are byte-identical everywhere they are persisted.
 void encode_schedule(const FaultSchedule& schedule, std::string& out);

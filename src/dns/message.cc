@@ -6,6 +6,10 @@ namespace lazyeye::dns {
 
 namespace {
 constexpr std::uint16_t kClassIn = 1;
+// Smallest wire forms: root name (1) + type + class for a question; root
+// name + type + class + TTL + rdlength for a record.
+constexpr std::size_t kMinQuestionBytes = 1 + 2 + 2;
+constexpr std::size_t kMinRecordBytes = 1 + 2 + 2 + 4 + 2;
 
 void encode_record(const ResourceRecord& rr, ByteWriter& w,
                    NameCompressor* compression) {
@@ -113,10 +117,14 @@ const char* decode_message(std::span<const std::uint8_t> wire,
                            DnsMessage& msg) {
   ByteReader r{wire};
   msg.header = DnsHeader{};
-  // Sections are *resized* to the wire counts, not cleared: surviving
-  // elements (and the name/label buffers inside them) are decoded into in
-  // place, so a scratch DnsMessage parses packet after packet without
-  // allocating once its high-water capacity is reached.
+  // Sections are *resized* to their counts, not cleared: surviving elements
+  // (and the name/label buffers inside them) are decoded into in place, so a
+  // scratch DnsMessage parses packet after packet without allocating once
+  // its high-water capacity is reached. A count is first checked against
+  // the bytes left: every question takes at least kMinQuestionBytes and
+  // every record kMinRecordBytes, so a larger count could never decode and
+  // is rejected (with the error its per-element loop would have reached)
+  // before anything is allocated. Decode cost stays O(wire bytes).
 
   msg.header.id = r.u16();
   const std::uint16_t flags = r.u16();
@@ -134,6 +142,7 @@ const char* decode_message(std::span<const std::uint8_t> wire,
   const std::uint16_t arcount = r.u16();
   if (!r.ok()) return "truncated header";
 
+  if (qdcount > r.remaining() / kMinQuestionBytes) return "truncated question";
   msg.questions.resize(qdcount);
   for (Question& q : msg.questions) {
     DnsName::decode_into(r, q.name);
@@ -144,6 +153,7 @@ const char* decode_message(std::span<const std::uint8_t> wire,
 
   auto read_section = [&](std::vector<ResourceRecord>& out,
                           std::uint16_t count) -> bool {
+    if (count > r.remaining() / kMinRecordBytes) return false;
     out.resize(count);
     for (ResourceRecord& rr : out) {
       if (!decode_record(r, rr)) return false;

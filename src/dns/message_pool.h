@@ -40,9 +40,15 @@ class MessagePool {
   }
 
   /// Returns a message to the pool. Contents are retained deliberately —
-  /// see the header comment. Beyond the cap the message is simply dropped.
+  /// see the header comment. Beyond the idle cap, or holding more section
+  /// capacity than kMaxRetainedRecords, the message is simply dropped.
   void release(DnsMessage&& msg) {
-    if (idle_.size() < kCap) idle_.push_back(std::move(msg));
+    const std::size_t records =
+        msg.questions.capacity() + msg.answers.capacity() +
+        msg.authorities.capacity() + msg.additionals.capacity();
+    if (idle_.size() < kCap && records <= kMaxRetainedRecords) {
+      idle_.push_back(std::move(msg));
+    }
   }
 
   std::size_t idle() const { return idle_.size(); }
@@ -52,6 +58,11 @@ class MessagePool {
   // response + outcome envelopes, server query + response, analysis scratch)
   // with headroom; keeps a stuck thread from hoarding unbounded capacity.
   static constexpr std::size_t kCap = 16;
+  // Section capacity (questions + records, all four sections) a pooled
+  // message may keep. Fault-free workloads peak at ~21 (a 20-address answer);
+  // anything far above that came from an oversized or hostile wire, and
+  // keeping it would pin that memory on this thread for good.
+  static constexpr std::size_t kMaxRetainedRecords = 64;
   std::vector<DnsMessage> idle_;
 };
 

@@ -9,6 +9,7 @@
 #include "dns/name.h"
 #include "dns/rr.h"
 #include "dns/test_params.h"
+#include "dns_wire_corpus.h"
 #include "util/rng.h"
 
 namespace lazyeye::dns {
@@ -526,6 +527,30 @@ TEST(DnsMessageTest, DecodeIntoSurvivesGarbageCorpus) {
   }
   ASSERT_TRUE(DnsMessage::decode_into(sample_referral().encode(), scratch));
   EXPECT_EQ(scratch, sample_referral());
+}
+
+// Fixed-point property: whatever the mutator corpora get past the decoder
+// re-encodes to a wire that decodes to the same message.
+TEST(DnsMessageTest, AcceptedMutantsReachAFixedPoint) {
+  int accepted = 0;
+  int diverged = 0;
+  corpus::for_each_mutated_wire(20241, 20000, [&](auto wire) {
+    const auto first = DnsMessage::decode(wire);
+    if (!first.ok()) return;
+    ++accepted;
+    const auto second = DnsMessage::decode(first.value().encode());
+    if (second.ok() && second.value() == first.value()) return;
+    if (++diverged <= 3) {
+      ADD_FAILURE() << "accepted mutant #" << accepted << " ("
+                    << first.value().summary() << ") "
+                    << (second.ok() ? "re-decodes differently"
+                                    : "fails to re-decode: " + second.error());
+    }
+  });
+  EXPECT_EQ(diverged, 0);
+  // Truncations almost never survive, but many corruptions (TTL, address,
+  // flag bytes) do: the property must have been exercised.
+  EXPECT_GT(accepted, 1000);
 }
 
 TEST(DnsMessageTest, MutatorsAreSeedDeterministic) {

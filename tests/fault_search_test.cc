@@ -222,6 +222,48 @@ TEST(ScheduleCodecTest, MalformedBytesRejected) {
   EXPECT_FALSE(schedule_from_hex("abc").has_value());  // odd length
 }
 
+// Seeded fuzz check: byte flips and truncations of generated schedules'
+// hex and binary forms never crash the decoders, never yield more than
+// kMaxScheduleEntries entries, and whatever is accepted re-encodes to a
+// fixed point.
+TEST(ScheduleCodecTest, MutatedEncodingsDecodeBoundedToAFixedPoint) {
+  SplitMix64 rng{0x5C4ED};
+  int accepted = 0;
+  const auto check = [&](const std::optional<FaultSchedule>& decoded) {
+    if (!decoded) return;
+    ++accepted;
+    EXPECT_LE(decoded->entries.size(), kMaxScheduleEntries);
+    const std::string hex = schedule_to_hex(*decoded);
+    const auto again = schedule_from_hex(hex);
+    ASSERT_TRUE(again.has_value()) << hex;
+    EXPECT_EQ(*again, *decoded) << hex;
+    EXPECT_EQ(schedule_to_hex(*again), hex);
+  };
+  for (std::uint32_t i = 0; i < 6000; ++i) {
+    const FaultSchedule schedule = FaultSchedule::generate(17, 2, i % 97);
+    const std::string hex = schedule_to_hex(schedule);
+    const std::string raw = encode_schedule(schedule);
+    std::vector<std::uint8_t> hex_bytes(hex.begin(), hex.end());
+    std::vector<std::uint8_t> raw_bytes(raw.begin(), raw.end());
+    if (i % 3 == 0) {
+      truncate_wire(hex_bytes, rng);
+      truncate_wire(raw_bytes, rng);
+    } else {
+      corrupt_wire(hex_bytes, rng);
+      corrupt_wire(raw_bytes, rng);
+    }
+    check(schedule_from_hex(
+        std::string_view{reinterpret_cast<const char*>(hex_bytes.data()),
+                         hex_bytes.size()}));
+    check(decode_schedule(
+        std::string_view{reinterpret_cast<const char*>(raw_bytes.data()),
+                         raw_bytes.size()}));
+  }
+  // Flips inside seeds, indices and times keep a schedule well formed, so
+  // many mutants are accepted and the fixed point is really exercised.
+  EXPECT_GT(accepted, 1000);
+}
+
 TEST(ScheduleCodecTest, CorpusFileRoundTripsAndRefusesDamage) {
   std::vector<CorpusEntry> corpus;
   for (std::uint32_t i = 0; i < 3; ++i) {
