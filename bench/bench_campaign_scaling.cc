@@ -107,8 +107,8 @@ struct DataPathPoint {
 };
 
 /// Steady-state per-packet data path: a UDP echo pair exchanging pooled
-/// 64-byte payloads. After warm-up (pool blocks, flight slots, timer-wheel
-/// nodes at their high-water marks) the measured section must perform ZERO
+/// 64-byte payloads. After warm-up (pool blocks, flight slots, timer heap
+/// and slots at their high-water marks) the measured section must perform ZERO
 /// heap allocations — the CI smoke gate fails on any regression. The gate is
 /// count-based, not timing-based, so it is deterministic on 1-core runners.
 DataPathPoint measure_datapath(std::uint64_t packets) {
@@ -187,7 +187,7 @@ EventLoopPoint measure_eventloop(std::uint64_t events) {
       loop->schedule_after(ms(1), *this);
     }
   };
-  // Seed 64 concurrent chains so the wheel stays realistically populated.
+  // Seed 64 concurrent chains (real cells hold at most ~21 live timers).
   constexpr std::uint64_t chains = 64;
   std::uint64_t budgets[chains];
   const std::uint64_t spread = events / chains;

@@ -5,7 +5,6 @@
 
 #include "capture/analysis.h"
 #include "clients/client.h"
-#include "conformance/injector.h"
 #include "dns/auth_server.h"
 #include "dns/test_params.h"
 #include "simnet/network.h"
@@ -34,7 +33,14 @@ std::string ConformanceRecord::symbols() const {
 }
 
 ConformanceHarness::ConformanceHarness(ConformanceOptions options)
-    : options_{options} {}
+    : options_{options} {
+  for (int i = 1; i <= options_.decoys_per_family; ++i) {
+    decoys_.emplace_back(
+        *simnet::Ipv4Address::parse(lazyeye::str_format("10.99.0.%d", i)),
+        *simnet::Ipv6Address::parse(
+            lazyeye::str_format("2001:db8:dead::%d", i)));
+  }
+}
 
 campaign::ScenarioSpec ConformanceHarness::case_spec(
     const clients::ClientProfile& profile, const FaultPlan& plan,
@@ -101,8 +107,8 @@ std::vector<campaign::ScenarioSpec> ConformanceHarness::differential_specs(
 namespace {
 
 /// The cell's isolated world: two dual-stack nodes, echo web server, auth
-/// DNS, the fault injector attached to the server's stacks, capture on the
-/// client node. Mirrors testbed::build_scenario, plus the injector.
+/// DNS, the schedule injector attached to the server's stacks, capture on
+/// the client node. Mirrors testbed::build_scenario, plus the injector.
 struct World {
   // Lease first: released (arena reset) after every raw pointer below is
   // dead. The arena destroys capture, client, injector, servers, then the
@@ -115,30 +121,37 @@ struct World {
   transport::TcpStack* server_tcp = nullptr;
   transport::QuicStack* server_quic = nullptr;
   dns::AuthServer* auth = nullptr;
-  FaultInjector* injector = nullptr;
-  ScheduleInjector* schedule_injector = nullptr;
+  ScheduleInjector* injector = nullptr;
   clients::SimulatedClient* client = nullptr;
   capture::PacketCapture* capture = nullptr;
   dns::DnsName name;
 };
 
-/// Exactly one of `plan` / `schedule` is set — the cell's fault source.
-std::unique_ptr<World> build_world(const clients::ClientProfile& profile,
-                                   const ConformanceOptions& options,
-                                   const FaultPlan* plan,
-                                   const FaultSchedule* schedule,
-                                   std::uint64_t cell_seed) {
+std::unique_ptr<World> build_world(
+    const clients::ClientProfile& profile, const ConformanceOptions& options,
+    const std::vector<std::pair<simnet::Ipv4Address, simnet::Ipv6Address>>&
+        decoys,
+    FaultSchedule schedule, std::uint64_t cell_seed) {
+  // Fixed world literals parsed once per process, not once per cell.
+  static const IpAddress server_v4 = IpAddress::must_parse("10.0.0.80");
+  static const IpAddress server_v6 = IpAddress::must_parse("2001:db8::80");
+  static const IpAddress client_v4 = IpAddress::must_parse("10.0.0.2");
+  static const IpAddress client_v6 = IpAddress::must_parse("2001:db8::2");
+  static const dns::DnsName zone_origin = dns::DnsName::must_parse("conf.lab");
+  static const dns::DnsName name_stem =
+      dns::DnsName::must_parse("run.conf.lab");
+
   auto w = std::make_unique<World>();
   simnet::Arena& arena = w->lease.arena();
   w->net = arena.create<simnet::Network>(w->lease.memory(),
                                          options.seed * 7919 + cell_seed);
 
   w->server_host = &w->net->add_host("server");
-  w->server_host->add_address(IpAddress::must_parse("10.0.0.80"));
-  w->server_host->add_address(IpAddress::must_parse("2001:db8::80"));
+  w->server_host->add_address(server_v4);
+  w->server_host->add_address(server_v6);
   w->client_host = &w->net->add_host("client");
-  w->client_host->add_address(IpAddress::must_parse("10.0.0.2"));
-  w->client_host->add_address(IpAddress::must_parse("2001:db8::2"));
+  w->client_host->add_address(client_v4);
+  w->client_host->add_address(client_v6);
 
   w->server_tcp = arena.create<transport::TcpStack>(*w->server_host);
   w->server_tcp->listen(443, [](std::uint64_t, const simnet::Endpoint&) {});
@@ -158,38 +171,29 @@ std::unique_ptr<World> build_world(const clients::ClientProfile& profile,
       });
 
   w->auth = arena.create<dns::AuthServer>(*w->server_host);
-  dns::Zone& zone = w->auth->add_zone(dns::DnsName::must_parse("conf.lab"));
+  dns::Zone& zone = w->auth->add_zone(zone_origin);
 
   const auto nonce =
       lazyeye::str_format("%llu", static_cast<unsigned long long>(cell_seed));
-  w->name = dns::make_test_name(dns::DnsName::must_parse("run.conf.lab"),
-                                nonce, {});
+  w->name = dns::make_test_name(name_stem, nonce, {});
   // Real server first (clients that honour record order try it first), then
   // unresponsive decoys so interleaving/abandonment have observable choices.
-  zone.add_a(w->name, *simnet::Ipv4Address::parse("10.0.0.80"));
-  zone.add_aaaa(w->name, *simnet::Ipv6Address::parse("2001:db8::80"));
-  for (int i = 1; i <= options.decoys_per_family; ++i) {
-    zone.add_a(w->name, *simnet::Ipv4Address::parse(
-                            lazyeye::str_format("10.99.0.%d", i)));
-    zone.add_aaaa(w->name, *simnet::Ipv6Address::parse(lazyeye::str_format(
-                               "2001:db8:dead::%d", i)));
+  zone.add_a(w->name, server_v4.v4());
+  zone.add_aaaa(w->name, server_v6.v6());
+  for (const auto& [v4, v6] : decoys) {
+    zone.add_a(w->name, v4);
+    zone.add_aaaa(w->name, v6);
   }
 
-  if (plan != nullptr) {
-    w->injector = arena.create<FaultInjector>(*plan);
-    w->injector->attach(*w->auth);
-    w->injector->attach(*w->server_tcp);
-    w->injector->attach(*w->server_quic);
-  } else {
-    w->schedule_injector =
-        arena.create<ScheduleInjector>(*schedule, w->net->loop());
-    w->schedule_injector->attach(*w->auth);
-    w->schedule_injector->attach(*w->server_tcp);
-    w->schedule_injector->attach(*w->server_quic);
-  }
+  w->injector =
+      arena.create<ScheduleInjector>(std::move(schedule), w->net->loop());
+  w->injector->attach(*w->auth);
+  w->injector->attach(*w->server_tcp);
+  w->injector->attach(*w->server_quic);
 
+  static const std::vector<simnet::Endpoint> dns_servers{{server_v4, 53}};
   dns::StubOptions stub_options;
-  stub_options.servers = {{IpAddress::must_parse("10.0.0.80"), 53}};
+  stub_options.servers = dns_servers;
   w->client = arena.create<clients::SimulatedClient>(
       *w->client_host, profile, stub_options, options.seed * 31 + cell_seed);
   w->client->reset_state();  // fresh container per cell
@@ -203,21 +207,26 @@ std::unique_ptr<World> build_world(const clients::ClientProfile& profile,
 ConformanceRecord ConformanceHarness::run_spec(
     const clients::ClientProfile& profile,
     const campaign::ScenarioSpec& spec) const {
-  const FaultPlan* plan = nullptr;
-  const FaultSchedule* schedule = nullptr;
+  ConformanceRecord record;
+  FaultSchedule schedule;
   int fetches = 1;
   if (const auto* cell = spec.get_if<campaign::ConformanceCase>()) {
-    plan = &cell->fault;
+    // A single fault is a one-entry schedule: trigger kNone, start 0, open
+    // window — active for the whole run, seeded from the plan's rng_seed().
+    record.fault = cell->fault;
+    schedule.entries.push_back(TimedFault{cell->fault});
     fetches = cell->fetches;
   } else if (const auto* cell2 = spec.get_if<campaign::ScheduleCase>()) {
-    schedule = &cell2->schedule;
+    record.schedule = cell2->schedule;
+    schedule = cell2->schedule;
     fetches = cell2->fetches;
   } else {
     throw std::invalid_argument(
         lazyeye::str_format("ConformanceHarness::run_spec: unsupported case %s",
                             campaign::case_name(spec.payload)));
   }
-  auto w = build_world(profile, options_, plan, schedule, spec.seed);
+  auto w = build_world(profile, options_, decoys_, std::move(schedule),
+                       spec.seed);
 
   clients::FetchResult first_fetch;
   clients::FetchResult last_fetch;
@@ -259,10 +268,7 @@ ConformanceRecord ConformanceHarness::run_spec(
   ctx.first_v4_syn = capture::first_syn_time(cap, Family::kIpv4);
   ctx.first_v6_syn = capture::first_syn_time(cap, Family::kIpv6);
 
-  ConformanceRecord record;
   record.client = profile.display_name();
-  if (plan != nullptr) record.fault = *plan;
-  if (schedule != nullptr) record.schedule = *schedule;
   record.fetches = fetches;
   record.fetch_ok = last_fetch.connection.ok && last_fetch.response_received;
   record.first_fetch_ok = ctx.first_fetch_ok;

@@ -1,12 +1,13 @@
 // ConformanceHarness: differential RFC 8305 conformance campaigns.
 //
 // Each cell builds an isolated two-node world (like testbed::LocalTestbed),
-// attaches a FaultInjector for the cell's seeded FaultPlan to the server's
-// DNS and transport stacks, runs the client's fetch(es), and evaluates the
-// RFC 8305 rule set over the client-side capture. Cells ride the campaign
-// API v2 as ConformanceCase payloads, so a differential matrix — the same
-// fault against every client profile — shards across the CampaignRunner
-// worker pool with byte-identical verdict tables at any worker count.
+// attaches a ScheduleInjector for the cell's seeded FaultPlan (run as a
+// one-entry schedule) or FaultSchedule to the server's DNS and transport
+// stacks, runs the client's fetch(es), and evaluates the RFC 8305 rule set
+// over the client-side capture. Cells ride the campaign API v2 as
+// ConformanceCase payloads, so a differential matrix — the same fault
+// against every client profile — shards across the CampaignRunner worker
+// pool with byte-identical verdict tables at any worker count.
 //
 // Every cell replays from its plan's (seed, stream, index) triple:
 //
@@ -16,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/registry.h"
@@ -99,6 +101,8 @@ class ConformanceHarness {
 
  private:
   ConformanceOptions options_;
+  /// decoys_per_family (IPv4, IPv6) decoy address pairs, parsed once.
+  std::vector<std::pair<simnet::Ipv4Address, simnet::Ipv6Address>> decoys_;
 };
 
 /// Plugs ConformanceCase AND ScheduleCase into a campaign registry (both

@@ -1,8 +1,8 @@
 #include "conformance/schedule.h"
 
+#include <algorithm>
 #include <utility>
 
-#include "conformance/injector.h"
 #include "conformance/wire.h"
 #include "dns/auth_server.h"
 #include "dns/recursive_resolver.h"
@@ -13,6 +13,9 @@
 
 namespace lazyeye::conformance {
 
+using dns::DnsMessage;
+using dns::RrType;
+using simnet::Family;
 using transport::AcceptAction;
 
 const char* trigger_kind_name(TriggerKind trigger) {
@@ -190,6 +193,124 @@ std::optional<FaultSchedule> schedule_from_hex(std::string_view hex) {
 }
 
 // ---- ScheduleInjector -----------------------------------------------------
+
+namespace {
+
+/// Family a query type resolves addresses for (non-address types count as
+/// IPv4 only so the family-selective kinds leave them alone by default).
+Family qtype_family(RrType qtype) {
+  return qtype == RrType::kAaaa ? Family::kIpv6 : Family::kIpv4;
+}
+
+bool address_qtype(RrType qtype) {
+  return qtype == RrType::kA || qtype == RrType::kAaaa;
+}
+
+/// Kind classification: which layer's hook a plan needs.
+bool dns_fault_kind(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kDnsTruncate:
+    case FaultKind::kDnsCorrupt:
+    case FaultKind::kDnsSpoof:
+    case FaultKind::kDnsReorder:
+    case FaultKind::kDnsStarveFamily:
+    case FaultKind::kDnsDelaySpike:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool tcp_fault_kind(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kTcpReset:
+    case FaultKind::kTcpAcceptReset:
+    case FaultKind::kTcpBlackhole:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Applies `plan`'s DNS-side fault to one outgoing response (message edits,
+/// delay stretch, wire mutation, extra spoof datagrams). `rng` is the plan's
+/// mutation stream; the mutate_wire closure it may install captures `rng` by
+/// reference, so the generator must outlive the directives' execution.
+/// No-op for non-DNS kinds. Overwrites out.mutate_wire when it installs one.
+void apply_dns_fault(const FaultPlan& plan, SplitMix64& rng,
+                     const DnsMessage& query, DnsMessage& response,
+                     SimTime& delay, dns::ResponseDirectives& out) {
+  const RrType qtype =
+      query.questions.empty() ? RrType::kA : query.questions.front().type;
+  const bool targeted =
+      address_qtype(qtype) && qtype_family(qtype) == plan.target_family;
+  switch (plan.kind) {
+    case FaultKind::kDnsTruncate:
+      out.mutate_wire = [&rng](std::vector<std::uint8_t>& wire) {
+        truncate_wire(wire, rng);
+      };
+      break;
+    case FaultKind::kDnsCorrupt:
+      out.mutate_wire = [&rng](std::vector<std::uint8_t>& wire) {
+        corrupt_wire(wire, rng);
+      };
+      break;
+    case FaultKind::kDnsSpoof: {
+      if (!address_qtype(qtype)) break;
+      // Off-path race: wrong transaction id, bogus address, sent with zero
+      // extra delay so it reaches the client ahead of the real answer. A
+      // compliant resolver/client drops it on the id mismatch.
+      DnsMessage spoof = response;
+      spoof.header.id ^= static_cast<std::uint16_t>(1 + rng.next() % 0xffff);
+      spoof.answers.clear();
+      spoof.authorities.clear();
+      spoof.additionals.clear();
+      const dns::DnsName& qname = query.questions.front().name;
+      if (qtype == RrType::kA) {
+        spoof.answers.push_back(dns::ResourceRecord::a(
+            qname, simnet::IpAddress::must_parse("192.0.2.66").v4()));
+      } else {
+        spoof.answers.push_back(dns::ResourceRecord::aaaa(
+            qname, simnet::IpAddress::must_parse("2001:db8:bad::66").v6()));
+      }
+      out.extra.push_back({spoof.encode(), SimTime{0}});
+      break;
+    }
+    case FaultKind::kDnsReorder:
+      // Hold the targeted family's answer back past the spike so the other
+      // family's answer overtakes it, and scramble in-message record order.
+      if (targeted) {
+        delay = delay + plan.spike;
+        std::reverse(response.answers.begin(), response.answers.end());
+      }
+      break;
+    case FaultKind::kDnsStarveFamily:
+      if (targeted) response.answers.clear();  // NODATA-like starvation
+      break;
+    case FaultKind::kDnsDelaySpike:
+      if (targeted) delay = delay + plan.spike;
+      break;
+    default:
+      break;
+  }
+}
+
+/// What `plan` does to an inbound handshake from `peer`: kReset/kDrop/
+/// kAcceptThenReset for the transport kinds when the peer matches the
+/// target family, kAccept otherwise (including all non-transport kinds).
+AcceptAction fault_accept_action(const FaultPlan& plan,
+                                 const simnet::Endpoint& peer) {
+  if (peer.addr.family() != plan.target_family) return AcceptAction::kAccept;
+  switch (plan.kind) {
+    case FaultKind::kTcpReset: return AcceptAction::kReset;
+    case FaultKind::kTcpAcceptReset: return AcceptAction::kAcceptThenReset;
+    case FaultKind::kTcpBlackhole:
+    case FaultKind::kQuicDrop: return AcceptAction::kDrop;
+    default: return AcceptAction::kAccept;
+  }
+}
+
+}  // namespace
 
 ScheduleInjector::ScheduleInjector(FaultSchedule schedule,
                                    const simnet::EventLoop& loop)

@@ -146,9 +146,10 @@ SimTime sample_window_duration(SplitMix64& rng);
 
 /// Multiplexes a schedule's entries through per-layer hooks. Entries are
 /// consulted in schedule order; for DNS every active entry applies (wire
-/// mutators chain), for transport the first non-accept action wins. The
-/// injector reads the event loop's clock to evaluate windows and must
-/// outlive the stacks it attaches to, like FaultInjector.
+/// mutators chain), for transport the first non-accept action wins. A
+/// single fault is a one-entry schedule (trigger kNone, start 0, open
+/// window). The injector reads the event loop's clock to evaluate windows;
+/// its hooks capture `this`, so it must outlive the stacks it attaches to.
 class ScheduleInjector {
  public:
   ScheduleInjector(FaultSchedule schedule, const simnet::EventLoop& loop);

@@ -9,7 +9,7 @@
 //
 // The pool is thread-local: the campaign WorkerPool parks persistent
 // threads, so consecutive cells claimed by one worker lease the same
-// WorldMemory — warm arena chunks, warm payload blocks, warm timer-wheel
+// WorldMemory — warm arena chunks, warm payload blocks, warm timer heap
 // storage — and per-cell setup/teardown stops paying the allocator.
 //
 // Usage (one cell):

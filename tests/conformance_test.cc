@@ -11,7 +11,6 @@
 #include "clients/profiles.h"
 #include "conformance/checker.h"
 #include "conformance/fault.h"
-#include "conformance/injector.h"
 #include "conformance/rules.h"
 #include "dns/auth_server.h"
 #include "dns/client.h"
@@ -257,7 +256,9 @@ TEST_F(DnsHookFixture, DelayDirectivePostponesTheAnswer) {
 }
 
 TEST_F(DnsHookFixture, InjectorLeavesHooksUnsetForTransportKinds) {
-  FaultInjector injector{FaultPlan{FaultKind::kTcpReset}};
+  FaultSchedule schedule;
+  schedule.entries.push_back(TimedFault{FaultPlan{FaultKind::kTcpReset}});
+  ScheduleInjector injector{schedule, net.loop()};
   injector.attach(*auth);  // TCP kind: the DNS fast path must stay hook-free
   const auto outcome = ask();
   EXPECT_TRUE(outcome.ok);

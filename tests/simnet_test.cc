@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -691,24 +692,11 @@ TEST(BufferTest, ClearKeepsStorageAndResizeZeroFills) {
   EXPECT_EQ(b[63], 0u);
 }
 
-// ---------------------------------------------------------- timer wheel ----
+// ------------------------------------------------------- event ordering ----
 
-TEST(TimerWheelTest, NearTimersUseTheWheelFarTimersTheHeap) {
-  EventLoop loop;
-  int fired = 0;
-  loop.schedule_after(us(50), [&] { ++fired; });    // level 0
-  loop.schedule_after(ms(100), [&] { ++fired; });   // level 1
-  loop.schedule_after(sec(10), [&] { ++fired; });   // beyond the horizon
-  EXPECT_EQ(loop.wheel_scheduled(), 2u);
-  EXPECT_EQ(loop.heap_scheduled(), 1u);
-  loop.run();
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(loop.now(), sec(10));
-}
-
-TEST(TimerWheelTest, SubTickOrderIsExact) {
-  // Distinct nanosecond times inside one ~1 us wheel tick must still run in
-  // (when, seq) order.
+TEST(EventLoopOrderTest, SubTickOrderIsExact) {
+  // Distinct nanosecond times less than a microsecond apart must still run
+  // in (when, seq) order.
   EventLoop loop;
   std::vector<int> order;
   loop.schedule_at(ns(900), [&] { order.push_back(2); });
@@ -718,9 +706,9 @@ TEST(TimerWheelTest, SubTickOrderIsExact) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(TimerWheelTest, OrderMatchesReferenceModelUnderChurn) {
-  // Fuzz schedule/cancel across every band (sub-tick, L0, L1, heap) and
-  // check the execution order against a (when, seq) reference sort.
+TEST(EventLoopOrderTest, OrderMatchesReferenceModelUnderChurn) {
+  // Fuzz schedule/cancel with delays from nanoseconds to seconds and check
+  // the execution order against a (when, seq) reference sort.
   Rng rng{7};
   EventLoop loop;
   struct Expected {
@@ -750,8 +738,6 @@ TEST(TimerWheelTest, OrderMatchesReferenceModelUnderChurn) {
       expected.push_back(Expected{when, this_seq});
     }
   }
-  EXPECT_GT(loop.wheel_scheduled(), 0u);
-  EXPECT_GT(loop.heap_scheduled(), 0u);
   loop.run();
   std::sort(expected.begin(), expected.end(),
             [](const Expected& a, const Expected& b) {
@@ -764,20 +750,19 @@ TEST(TimerWheelTest, OrderMatchesReferenceModelUnderChurn) {
   }
 }
 
-TEST(TimerWheelTest, EventBeforeAStagedLaterTickRunsFirst) {
-  // Regression: run_until can leave a wheel tick staged; an event scheduled
-  // afterwards *before* that tick must still run first (the staged
-  // remainder is pushed back into the wheel).
+TEST(EventLoopOrderTest, EventBeforeAStagedLaterTickRunsFirst) {
+  // Regression: after run_until stops just short of a pending timer, an
+  // event scheduled to land before that timer must still run first.
   EventLoop loop;
   std::vector<int> order;
-  loop.schedule_after(sec(2), [&] { order.push_back(2); });  // level 1
-  loop.run_until(sec(2) - ms(1));  // cascades + stages the 2 s tick
+  loop.schedule_after(sec(2), [&] { order.push_back(2); });
+  loop.run_until(sec(2) - ms(1));
   loop.schedule_after(us(10), [&] { order.push_back(1); });
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(TimerWheelTest, CancelledTimersSurviveRunUntilJumps) {
+TEST(EventLoopOrderTest, CancelledTimersSurviveRunUntilJumps) {
   EventLoop loop;
   int fired = 0;
   std::vector<TimerId> ids;
@@ -786,8 +771,8 @@ TEST(TimerWheelTest, CancelledTimersSurviveRunUntilJumps) {
   }
   for (const TimerId id : ids) EXPECT_TRUE(loop.cancel(id));
   EXPECT_EQ(loop.pending(), 0u);
-  // Jump far past every cancelled slot, then schedule fresh timers: the
-  // stale window is purged and the wheel re-anchors.
+  // Jump far past every cancelled timer, then schedule fresh ones: the
+  // cancelled keys must neither fire nor delay them.
   loop.run_until(sec(30));
   EXPECT_EQ(fired, 0);
   loop.schedule_after(ms(5), [&] { ++fired; });
@@ -797,7 +782,7 @@ TEST(TimerWheelTest, CancelledTimersSurviveRunUntilJumps) {
   EXPECT_EQ(loop.now(), sec(30) + ms(500));
 }
 
-TEST(TimerWheelTest, ChainedSameTickSchedulingRunsInOneTick) {
+TEST(EventLoopOrderTest, ChainedSameTickSchedulingRunsInOneTick) {
   EventLoop loop;
   int depth = 0;
   struct Chain {
@@ -811,6 +796,158 @@ TEST(TimerWheelTest, ChainedSameTickSchedulingRunsInOneTick) {
   loop.run();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(loop.now(), ms(1));
+}
+
+/// Reference model for the loop: one entry per schedule, indexed by the
+/// order of schedule calls (the loop's own seq order).
+class ModelledLoop {
+ public:
+  explicit ModelledLoop(std::uint64_t seed) : rng_{seed} {}
+
+  EventLoop& loop() { return loop_; }
+  std::uint64_t executed() const { return executed_; }
+  std::uint64_t recycled_stale_checks() const { return recycled_stale_; }
+
+  std::size_t live() const {
+    return static_cast<std::size_t>(std::count_if(
+        model_.begin(), model_.end(), [](const Entry& e) { return e.live; }));
+  }
+
+  /// Time of the earliest live entry, if any.
+  std::optional<SimTime> earliest_when() const {
+    std::optional<SimTime> best;
+    for (const Entry& e : model_) {
+      if (e.live && (!best || e.when < *best)) best = e.when;
+    }
+    return best;
+  }
+
+  /// One random mutation: schedule (sometimes into the past, which clamps
+  /// to now()), cancel a live timer, or re-cancel a stale handle.
+  void act() {
+    switch (rng_.next_below(4)) {
+      case 0:
+      case 1: schedule(); break;
+      case 2: cancel_live(); break;
+      default: cancel_stale(); break;
+    }
+  }
+
+  void schedule() {
+    SimTime delay{0};
+    switch (rng_.next_below(4)) {
+      case 0: break;
+      case 1: delay = ns(static_cast<std::int64_t>(rng_.next_below(2000))); break;
+      case 2: delay = us(static_cast<std::int64_t>(rng_.next_below(5000))); break;
+      default: delay = ms(static_cast<std::int64_t>(rng_.next_below(3000)));
+    }
+    const std::uint64_t seq = model_.size();
+    Entry e{loop_.now() + delay, {}, true};
+    if (rng_.chance(0.125)) {
+      e.when = loop_.now();
+      e.id = loop_.schedule_at(loop_.now() - delay - ns(1), Fire{this, seq});
+    } else {
+      e.id = loop_.schedule_after(delay, Fire{this, seq});
+    }
+    model_.push_back(e);
+  }
+
+ private:
+  struct Entry {
+    SimTime when;
+    TimerId id;
+    bool live;
+  };
+
+  struct Fire {
+    ModelledLoop* self;
+    std::uint64_t seq;
+    void operator()() const { self->fire(seq); }
+  };
+
+  void fire(std::uint64_t seq) {
+    // Exact (when, seq) order: nothing live may precede this entry.
+    for (std::uint64_t i = 0; i < model_.size(); ++i) {
+      const Entry& e = model_[i];
+      if (!e.live || i == seq) continue;
+      EXPECT_TRUE(e.when > model_[seq].when ||
+                  (e.when == model_[seq].when && i > seq))
+          << "seq " << seq << " ran before seq " << i;
+    }
+    EXPECT_TRUE(model_[seq].live) << "cancelled seq " << seq << " ran";
+    EXPECT_EQ(loop_.now(), model_[seq].when);
+    retire(seq);
+    ++executed_;
+    EXPECT_EQ(loop_.pending(), live());
+    const std::uint64_t actions = rng_.next_below(4);
+    for (std::uint64_t i = 0; i < actions; ++i) act();
+  }
+
+  void retire(std::uint64_t seq) {
+    model_[seq].live = false;
+    stale_.push_back(model_[seq].id);
+  }
+
+  void cancel_live() {
+    std::vector<std::uint64_t> live_seqs;
+    for (std::uint64_t i = 0; i < model_.size(); ++i) {
+      if (model_[i].live) live_seqs.push_back(i);
+    }
+    if (live_seqs.empty()) return;
+    const std::uint64_t seq = live_seqs[rng_.next_below(live_seqs.size())];
+    EXPECT_TRUE(loop_.cancel(model_[seq].id));
+    retire(seq);
+    EXPECT_EQ(loop_.pending(), live());
+  }
+
+  void cancel_stale() {
+    if (stale_.empty()) return;
+    const TimerId id = stale_[rng_.next_below(stale_.size())];
+    // TimerId keeps slot+1 in its low 24 bits: count the checks where a
+    // live timer has since reused the stale handle's slot.
+    const auto slot = [](TimerId t) { return t.value & ((1ULL << 24) - 1); };
+    for (const Entry& e : model_) {
+      if (e.live && slot(e.id) == slot(id)) {
+        ++recycled_stale_;
+        break;
+      }
+    }
+    EXPECT_FALSE(loop_.cancel(id));
+  }
+
+  Rng rng_;
+  EventLoop loop_;
+  std::vector<Entry> model_;
+  std::vector<TimerId> stale_;
+  std::uint64_t executed_ = 0;
+  std::uint64_t recycled_stale_ = 0;
+};
+
+TEST(EventLoopOrderTest, CallbacksScheduleAndCancelAgainstAReferenceModel) {
+  // Callbacks schedule and cancel timers (the shape of HE attempt timers and
+  // DNS timeouts) while the driver interleaves run_until deadlines, some of
+  // them exactly on a pending timer. Order, pending() and stale-handle
+  // rejection are checked against the model throughout.
+  ModelledLoop m{13};
+  Rng rng{14};
+  for (int i = 0; i < 64; ++i) m.schedule();
+  for (int round = 0; round < 80; ++round) {
+    SimTime deadline =
+        m.loop().now() + ms(static_cast<std::int64_t>(rng.next_below(150)));
+    const std::optional<SimTime> next = m.earliest_when();
+    if (next && rng.chance(0.25)) deadline = *next;
+    m.loop().run_until(deadline);
+    EXPECT_EQ(m.loop().now(), deadline);
+    const std::optional<SimTime> still_pending = m.earliest_when();
+    if (still_pending) EXPECT_GT(*still_pending, deadline);
+    EXPECT_EQ(m.loop().pending(), m.live());
+    for (int i = 0; i < 8; ++i) m.act();
+  }
+  m.loop().run();
+  EXPECT_EQ(m.live(), 0u);
+  EXPECT_EQ(m.loop().pending(), 0u);
+  EXPECT_GT(m.executed(), 250u);
+  EXPECT_GT(m.recycled_stale_checks(), 40u);
 }
 
 // ------------------------------------------------- flat dispatch safety ----
@@ -882,8 +1019,8 @@ TEST(DataPathAllocationTest, SteadyStateUdpEchoAllocatesNothing) {
   Network net{1};
   UdpEchoHarness echo{net};  // same harness the CI smoke gate measures
 
-  // Warm-up: grows the buffer pool, flight-slot table, wheel node pool and
-  // dispatch tables to their steady-state high-water marks.
+  // Warm-up: grows the buffer pool, flight-slot table, timer heap and slots,
+  // and dispatch tables to their steady-state high-water marks.
   echo.run_rounds(64);
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
