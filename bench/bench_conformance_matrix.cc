@@ -32,6 +32,11 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (std::strcmp(argv[a], "--table") == 0 && a + 1 < argc) {
       table_path = argv[++a];
+    } else {
+      // An unknown flag or a --table without its path would otherwise run
+      // the whole matrix and silently write no table.
+      std::fprintf(stderr, "usage: %s [--smoke] [--table <path>]\n", argv[0]);
+      return 2;
     }
   }
 

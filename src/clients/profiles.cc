@@ -17,6 +17,14 @@ std::string ClientProfile::figure_label() const {
   return name + " (" + version + " " + release + ")";
 }
 
+bool ClientProfile::same_behaviour(const ClientProfile& other) const {
+  ClientProfile renamed = other;
+  renamed.name = name;
+  renamed.version = version;
+  renamed.release = release;
+  return renamed == *this;
+}
+
 ClientProfile chromium_profile(const std::string& name,
                                const std::string& version,
                                const std::string& release, bool hev3_flag) {

@@ -2,6 +2,14 @@
 // (Figure 2, Table 2, §5.1-5.2). Each profile is an HeOptions preset plus
 // the deviations the parameter space cannot express.
 //
+// A profile is a display identity (name, version, release) plus behaviour
+// (every other field). Only the behaviour reaches a simulated world; the
+// identity labels rows, records and the web tool's User-Agent report.
+// Profiles with equal behaviour (same_behaviour) form one behaviour class —
+// e.g. the 11 Chromium-family builds of the local testbed, which all fall
+// back at 300 ms — and produce identical cells, so the fault hunt runs each
+// class once.
+//
 // The profile constants are the *ground truth* the measurement pipeline is
 // expected to rediscover — they come from the paper's published findings and
 // the cited client sources (Chromium 300 ms, curl 200 ms, Firefox 250 ms,
@@ -27,9 +35,12 @@ enum class ClientKind {
 const char* client_kind_name(ClientKind kind);
 
 struct ClientProfile {
+  // ---- Display identity (labels only; no simulated world reads it) ---------
   std::string name;     // "Chrome"
   std::string version;  // "130.0"
   std::string release;  // "10-2024"
+
+  // ---- Behaviour -----------------------------------------------------------
   ClientKind kind = ClientKind::kBrowser;
 
   he::HeOptions options;
@@ -52,6 +63,12 @@ struct ClientProfile {
   std::string display_name() const { return name + " " + version; }
   /// Figure 2 row label, e.g. "Chrome (130.0 10-2024)".
   std::string figure_label() const;
+
+  bool operator==(const ClientProfile&) const = default;
+  /// Equal in every field except the display identity (name, version,
+  /// release). Defined through operator==, so a behaviour field added later
+  /// is compared without touching this function.
+  bool same_behaviour(const ClientProfile& other) const;
 };
 
 /// All profiles of the local testbed study (Figure 2 order, oldest at the

@@ -47,6 +47,8 @@ struct ConformanceRecord {
   int violations() const;
   /// One symbol per rule, e.g. "P-PV-" (rule-table order).
   std::string symbols() const;
+
+  bool operator==(const ConformanceRecord&) const = default;
 };
 
 struct ConformanceOptions {
@@ -107,19 +109,25 @@ class ConformanceHarness {
 
 /// Plugs ConformanceCase AND ScheduleCase into a campaign registry (both
 /// dispatch to run_spec, which switches on the payload); `harness` must
-/// outlive the registry, the profile pool is copied into the executor.
+/// outlive the registry, the profile pool is copied into the executor with
+/// each profile's display name computed once.
 template <typename Outcome>
 void register_conformance_executor(
     campaign::Registry<Outcome>& registry, const ConformanceHarness& harness,
     std::vector<clients::ClientProfile> profiles) {
-  auto pool = std::make_shared<const std::vector<clients::ClientProfile>>(
-      std::move(profiles));
+  using Named = std::pair<std::string, clients::ClientProfile>;
+  std::vector<Named> named;
+  named.reserve(profiles.size());
+  for (clients::ClientProfile& profile : profiles) {
+    named.emplace_back(profile.display_name(), std::move(profile));
+  }
+  auto pool = std::make_shared<const std::vector<Named>>(std::move(named));
   const auto run = [&harness, pool](const campaign::ScenarioSpec& spec) {
-    const clients::ClientProfile& profile = campaign::find_registered(
+    const Named& entry = campaign::find_registered(
         *pool, spec.client,
-        [](const clients::ClientProfile& p) { return p.display_name(); },
+        [](const Named& n) -> const std::string& { return n.first; },
         "conformance");
-    return harness.run_spec(profile, spec);
+    return harness.run_spec(entry.second, spec);
   };
   registry.template add<campaign::ConformanceCase>(
       [run](const campaign::ScenarioSpec& spec,

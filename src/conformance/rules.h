@@ -28,6 +28,8 @@ struct Verdict {
   std::string rule;
   RuleOutcome outcome = RuleOutcome::kInapplicable;
   std::string evidence;
+
+  bool operator==(const Verdict&) const = default;
 };
 
 /// Everything a rule may look at, extracted once per cell (checker.cc fills

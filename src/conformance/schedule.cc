@@ -265,13 +265,16 @@ void apply_dns_fault(const FaultPlan& plan, SplitMix64& rng,
       spoof.answers.clear();
       spoof.authorities.clear();
       spoof.additionals.clear();
+      // Decoy answers parsed once per process, not once per response.
+      static const simnet::Ipv4Address spoof_v4 =
+          simnet::IpAddress::must_parse("192.0.2.66").v4();
+      static const simnet::Ipv6Address spoof_v6 =
+          simnet::IpAddress::must_parse("2001:db8:bad::66").v6();
       const dns::DnsName& qname = query.questions.front().name;
       if (qtype == RrType::kA) {
-        spoof.answers.push_back(dns::ResourceRecord::a(
-            qname, simnet::IpAddress::must_parse("192.0.2.66").v4()));
+        spoof.answers.push_back(dns::ResourceRecord::a(qname, spoof_v4));
       } else {
-        spoof.answers.push_back(dns::ResourceRecord::aaaa(
-            qname, simnet::IpAddress::must_parse("2001:db8:bad::66").v6()));
+        spoof.answers.push_back(dns::ResourceRecord::aaaa(qname, spoof_v6));
       }
       out.extra.push_back({spoof.encode(), SimTime{0}});
       break;

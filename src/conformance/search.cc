@@ -161,6 +161,23 @@ std::vector<std::string> coverage_signature(
   return sig;
 }
 
+std::vector<std::size_t> behaviour_classes(
+    const std::vector<clients::ClientProfile>& profiles) {
+  std::vector<std::size_t> class_of;
+  std::vector<std::size_t> first_member;
+  class_of.reserve(profiles.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    std::size_t c = 0;
+    while (c < first_member.size() &&
+           !profiles[first_member[c]].same_behaviour(profiles[i])) {
+      ++c;
+    }
+    if (c == first_member.size()) first_member.push_back(i);
+    class_of.push_back(c);
+  }
+  return class_of;
+}
+
 // ---- Hunt internals -------------------------------------------------------
 
 struct FaultHunt::State {
@@ -188,6 +205,12 @@ FaultHunt::FaultHunt(HuntOptions options,
     throw std::invalid_argument("FaultHunt: negative budget");
   }
   if (options_.snapshot_every < 1) options_.snapshot_every = 1;
+  class_of_ = behaviour_classes(profiles_);
+  names_.reserve(profiles_.size());
+  for (std::size_t i = 0; i < profiles_.size(); ++i) {
+    names_.push_back(profiles_[i].display_name());
+    if (class_of_[i] == representatives_.size()) representatives_.push_back(i);
+  }
 }
 
 FaultSchedule FaultHunt::propose(State& state, std::uint32_t index) const {
@@ -201,12 +224,13 @@ FaultSchedule FaultHunt::propose(State& state, std::uint32_t index) const {
 
 std::vector<ConformanceRecord> FaultHunt::evaluate(
     const FaultSchedule& schedule) const {
+  // One cell per behaviour class; spec.id is the class index.
   std::vector<campaign::ScenarioSpec> specs;
-  specs.reserve(profiles_.size());
-  for (std::size_t i = 0; i < profiles_.size(); ++i) {
-    campaign::ScenarioSpec spec =
-        harness_.schedule_spec(profiles_[i], schedule, options_.fetches);
-    spec.id = i;
+  specs.reserve(representatives_.size());
+  for (std::size_t c = 0; c < representatives_.size(); ++c) {
+    campaign::ScenarioSpec spec = harness_.schedule_spec(
+        profiles_[representatives_[c]], schedule, options_.fetches);
+    spec.id = c;
     specs.push_back(std::move(spec));
   }
   campaign::RunnerOptions runner_options;
@@ -214,14 +238,19 @@ std::vector<ConformanceRecord> FaultHunt::evaluate(
   const campaign::CampaignRunner runner{runner_options};
   const std::function<ConformanceRecord(const campaign::ScenarioSpec&)>
       executor = [this](const campaign::ScenarioSpec& spec) {
-        for (const clients::ClientProfile& profile : profiles_) {
-          if (profile.display_name() == spec.client) {
-            return harness_.run_spec(profile, spec);
-          }
-        }
-        throw std::invalid_argument("FaultHunt: unknown client " + spec.client);
+        return harness_.run_spec(profiles_[representatives_[spec.id]], spec);
       };
-  return runner.run<ConformanceRecord>(specs, executor);
+  const std::vector<ConformanceRecord> class_records =
+      runner.run<ConformanceRecord>(specs, executor);
+
+  // Expand back to one record per profile, in profile order.
+  std::vector<ConformanceRecord> records;
+  records.reserve(profiles_.size());
+  for (std::size_t i = 0; i < profiles_.size(); ++i) {
+    records.push_back(class_records[class_of_[i]]);
+    records.back().client = names_[i];
+  }
+  return records;
 }
 
 FaultSchedule FaultHunt::minimize(

@@ -4,13 +4,22 @@
 // The hunt is a seeded, deterministic loop: each candidate FaultSchedule is
 // either freshly generated from the hunt triple or a mutation (add / drop /
 // retime / retarget an entry) of a corpus member; it runs differentially
-// against every client profile; its fitness is *novelty* — the coverage
+// against the client profiles; its fitness is *novelty* — the coverage
 // signature (client, rule, verdict symbol, digit-stripped evidence bucket)
 // plus per-rule cross-client verdict diffs — and novel candidates enter the
 // corpus. Candidates that violate a rule are first delta-minimized (drop
 // entries, zero/shrink windows) while the exact set of (client, rule)
 // violations is preserved, so every corpus violation is a smallest-found
 // replayable reproducer.
+//
+// Behaviour classes: profiles equal in everything but their display identity
+// (ClientProfile::same_behaviour) produce identical schedule cells — the
+// world and client seeds derive from the schedule alone and no rule reads
+// the client's name. The hunt therefore runs each candidate once per class,
+// on the class's first profile, and copies that record to every member
+// under the member's own name. The 17 local-testbed profiles form four
+// classes (Chromium family x11, Firefox x4, curl, wget); the per-profile
+// records, and so the journal and corpus, are what running all 17 gives.
 //
 // Crash safety: with journal_path set the hunt is a journaled campaign over
 // its candidate indices (campaign/journal.h). One kCell record per
@@ -26,6 +35,7 @@
 // options produce equal corpora on any worker count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -49,7 +59,7 @@ struct HuntOptions {
   /// Fetches per cell (2 exercises the restart-cache rule, like the
   /// differential matrix).
   int fetches = 2;
-  /// Worker threads for each candidate's per-profile matrix. 1 runs inline
+  /// Worker threads for each candidate's per-class cells. 1 runs inline
   /// (fork-safe); results are byte-identical at any width.
   int workers = 1;
   /// Journal file ("" = in-memory hunt, no crash safety).
@@ -98,6 +108,12 @@ std::string evidence_bucket(std::string_view evidence);
 std::vector<std::string> coverage_signature(
     const std::vector<ConformanceRecord>& records);
 
+/// Behaviour class of each profile (ClientProfile::same_behaviour): classes
+/// are numbered in order of their first member, so result[i] <= i and a
+/// class's first member is its representative.
+std::vector<std::size_t> behaviour_classes(
+    const std::vector<clients::ClientProfile>& profiles);
+
 class FaultHunt {
  public:
   FaultHunt(HuntOptions options, std::vector<clients::ClientProfile> profiles);
@@ -140,6 +156,12 @@ class FaultHunt {
 
   HuntOptions options_;
   std::vector<clients::ClientProfile> profiles_;
+  /// profiles_[i].display_name(), computed once.
+  std::vector<std::string> names_;
+  /// behaviour_classes(profiles_): an index into representatives_.
+  std::vector<std::size_t> class_of_;
+  /// First profile of each class, in profile order.
+  std::vector<std::size_t> representatives_;
   ConformanceHarness harness_;
 };
 

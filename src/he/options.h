@@ -46,6 +46,8 @@ struct DynamicCad {
 
   /// Effective CAD for a given (optional) RTT estimate.
   SimTime effective(std::optional<SimTime> smoothed_rtt) const;
+
+  bool operator==(const DynamicCad&) const = default;
 };
 
 struct HeOptions {
@@ -122,6 +124,8 @@ struct HeOptions {
   static HeOptions v3_draft();
   /// No Happy Eyeballs: resolve, use preferred family only.
   static HeOptions none();
+
+  bool operator==(const HeOptions&) const = default;
 };
 
 }  // namespace lazyeye::he

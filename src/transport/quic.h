@@ -24,6 +24,8 @@ struct QuicOptions {
   SimTime initial_rto = lazyeye::sec(1);
   int max_retransmits = 2;
   double rto_backoff = 2.0;
+
+  bool operator==(const QuicOptions&) const = default;
 };
 
 /// True if a UDP payload looks like one of our QUIC packets.

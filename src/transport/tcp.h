@@ -27,6 +27,8 @@ struct TcpOptions {
   /// (Linux default tcp_syn_retries=6 => ~127 s; clients override).
   int syn_retries = 6;
   double rto_backoff = 2.0;
+
+  bool operator==(const TcpOptions&) const = default;
 };
 
 /// One TCP endpoint (stack) per host. Installs itself as the host's TCP

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <set>
+#include <stdexcept>
 
 #include "campaign/registry.h"
 #include "campaign/runner.h"
@@ -504,6 +505,31 @@ TEST(HarnessTest, ReplayReproducesTheCampaignCell) {
       EXPECT_EQ(replayed.verdicts[r].evidence, cell.verdicts[r].evidence)
           << cell.fault.repro();
     }
+  }
+}
+
+TEST(HarnessTest, RegisteredExecutorResolvesClientsByDisplayName) {
+  const ConformanceHarness harness{{.seed = 1}};
+  const clients::ClientProfile chrome = profile_named("Chrome 130.0");
+  const clients::ClientProfile wget = profile_named("wget 1.21.3");
+  campaign::Registry<ConformanceRecord> registry;
+  register_conformance_executor(registry, harness, {chrome, wget});
+
+  FaultPlan plan;
+  plan.kind = FaultKind::kTcpReset;
+  const ConformanceRecord record =
+      registry.execute(harness.case_spec(wget, plan, 2));
+  EXPECT_EQ(record.client, "wget 1.21.3");
+  EXPECT_TRUE(record == harness.replay(wget, plan, 2));
+
+  const auto unknown = harness.case_spec(profile_named("Firefox 132.0"), plan);
+  try {
+    registry.execute(unknown);
+    ADD_FAILURE() << "an unregistered client must be refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "conformance executor: 'Firefox 132.0' is not in the "
+                 "registered pool");
   }
 }
 

@@ -49,10 +49,14 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
+/// Three behaviour classes, interleaved (Chrome, Firefox, Chrome, wget), so
+/// hunts exercise the class-to-profile record expansion.
 std::vector<clients::ClientProfile> hunt_profiles() {
-  std::vector<clients::ClientProfile> profiles =
-      clients::local_testbed_profiles();
-  profiles.resize(2);
+  std::vector<clients::ClientProfile> profiles;
+  for (const char* name :
+       {"Chrome 130.0", "Firefox 132.0", "Chrome 120.0", "wget 1.21.3"}) {
+    profiles.push_back(clients::find_client_profile(name).value());
+  }
   return profiles;
 }
 
@@ -170,6 +174,26 @@ TEST(FaultSearchCrashTest, JournalIdentityMismatchRefused) {
 }
 
 #endif  // unix
+
+// ------------------------------------------------------ golden hunt ----
+
+// All 17 local-testbed profiles (four behaviour classes), the options
+// `lazyeye_hunt hunt --budget 64 --seed 7` uses (the CI fault-hunt job pins
+// the same file). The golden corpus was recorded by simulating every profile
+// separately, so any drift in how class records expand to profiles shows
+// here.
+TEST(FaultSearchGoldenTest, FullProfileHuntMatchesTheGoldenCorpus) {
+  HuntOptions options;
+  options.seed = 7;
+  options.budget = 64;
+  options.conformance.seed = 7;
+  FaultHunt hunt{options, clients::local_testbed_profiles()};
+  const HuntResult result = hunt.run();
+  EXPECT_EQ(result.coverage.size(), 342u);
+  EXPECT_EQ(FaultHunt::corpus_text(result.corpus),
+            read_file(std::string{LAZYEYE_TEST_DATA_DIR} +
+                      "/hunt_full_seed7_budget64.corpus"));
+}
 
 // -------------------------------------------------------- schedule codec ----
 
@@ -318,6 +342,82 @@ TEST(CoverageSignatureTest, SignatureSeparatesVerdictChangesAndClientSplits) {
     if (element == "diff|rule-x|PV") found_diff = true;
   }
   EXPECT_TRUE(found_diff);
+}
+
+// ------------------------------------------------------ behaviour classes ----
+
+TEST(BehaviourClassTest, LocalTestbedProfilesFormFourClasses) {
+  const auto profiles = clients::local_testbed_profiles();
+  const std::vector<std::size_t> classes = behaviour_classes(profiles);
+  ASSERT_EQ(classes.size(), profiles.size());
+
+  std::vector<std::vector<std::string>> members;
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    if (classes[i] == members.size()) members.emplace_back();
+    ASSERT_LT(classes[i], members.size());
+    members[classes[i]].push_back(profiles[i].name);
+  }
+  ASSERT_EQ(members.size(), 4u);
+  ASSERT_EQ(members[0].size(), 11u);
+  for (const std::string& name : members[0]) {
+    EXPECT_TRUE(name == "Chrome" || name == "Chromium" || name == "Edge")
+        << name;
+  }
+  EXPECT_EQ(members[1], std::vector<std::string>(4, "Firefox"));
+  EXPECT_EQ(members[2], std::vector<std::string>{"curl"});
+  EXPECT_EQ(members[3], std::vector<std::string>{"wget"});
+}
+
+TEST(BehaviourClassTest, ABehaviourFieldChangeLeavesTheFamily) {
+  const clients::ClientProfile chrome =
+      clients::chromium_profile("Chrome", "130.0", "10-2024");
+  const clients::ClientProfile chrome_120 =
+      clients::chromium_profile("Chrome", "120.0", "11-2023");
+  clients::ClientProfile slow_chrome = chrome;
+  slow_chrome.options.connection_attempt_delay = lazyeye::ms(301);
+
+  const clients::ClientProfile firefox =
+      clients::firefox_profile("132.0", "10-2024");
+  clients::ClientProfile steady_firefox =
+      clients::firefox_profile("122.0", "01-2024");
+  steady_firefox.cad_outlier_prob = 0.0;
+
+  EXPECT_TRUE(chrome.same_behaviour(chrome_120));
+  EXPECT_FALSE(chrome.same_behaviour(slow_chrome));
+  EXPECT_FALSE(firefox.same_behaviour(steady_firefox));
+  EXPECT_EQ(behaviour_classes({chrome, chrome_120, slow_chrome}),
+            (std::vector<std::size_t>{0, 0, 1}));
+  EXPECT_EQ(behaviour_classes({firefox, steady_firefox, firefox}),
+            (std::vector<std::size_t>{0, 1, 0}));
+}
+
+// The hunt runs one profile per class and copies its record to the rest;
+// that holds only while a schedule cell never depends on the display
+// identity. A User-Agent that reached the wire, say, would break it here.
+TEST(BehaviourClassTest, ClassMembersReplayToTheRepresentativesRecord) {
+  const auto profiles = clients::local_testbed_profiles();
+  const std::vector<std::size_t> classes = behaviour_classes(profiles);
+  ConformanceOptions options;
+  options.seed = 1;
+  const ConformanceHarness harness{options};
+
+  for (std::uint32_t index = 0; index < 24; ++index) {
+    const FaultSchedule schedule = FaultSchedule::generate(1, 0xFA, index);
+    std::vector<ConformanceRecord> representative;
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+      ConformanceRecord record = harness.replay_schedule(profiles[i], schedule);
+      if (classes[i] == representative.size()) {
+        representative.push_back(std::move(record));
+        continue;
+      }
+      const ConformanceRecord& expected = representative[classes[i]];
+      record.client = expected.client;
+      EXPECT_TRUE(record == expected)
+          << profiles[i].display_name() << " vs " << expected.client
+          << " on schedule " << index << ": " << record.symbols() << " vs "
+          << expected.symbols();
+    }
+  }
 }
 
 // ------------------------------------------- schedule cells & determinism ----
