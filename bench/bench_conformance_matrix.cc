@@ -5,6 +5,10 @@
 // BYTE-IDENTICAL: the table doubles as the determinism fingerprint, and the
 // bench exits non-zero on the first mismatch.
 //
+// Each worker count runs on a fresh harness: a harness shares schedule-cell
+// records across behaviour classes, so a reused one would time the later
+// rows on records the first row left behind.
+//
 // `--table <path>` writes the 1-worker verdict table (the CI artifact
 // uploaded next to perf-smoke-json). `--smoke` shrinks the matrix to three
 // profiles and worker counts 1 and 2 — an API/determinism gate, not a
@@ -12,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +28,53 @@
 #include "conformance/schedule.h"
 
 using namespace lazyeye;
+
+namespace {
+
+/// Runs `specs` at every worker count, each on a fresh harness and registry,
+/// and prints one timing row per count. Returns the first count's verdict
+/// table, or nullopt (after reporting) when a later count's table differs.
+std::optional<std::string> run_at_worker_counts(
+    const char* what, const conformance::ConformanceOptions& options,
+    const std::vector<clients::ClientProfile>& profiles,
+    const std::vector<campaign::ScenarioSpec>& specs,
+    const std::vector<int>& worker_counts, int& violations) {
+  std::printf("%8s %12s %12s %12s\n", "workers", "wall [ms]", "cells/sec",
+              "violations");
+  std::string baseline;
+  for (const int workers : worker_counts) {
+    const conformance::ConformanceHarness harness{options};
+    campaign::Registry<conformance::ConformanceRecord> registry;
+    conformance::register_conformance_executor(registry, harness, profiles);
+    campaign::RunnerOptions runner_options;
+    runner_options.workers = workers;
+    runner_options.pool = &campaign::WorkerPool::shared();
+    const campaign::CampaignRunner runner{runner_options};
+
+    conformance::VerdictTableSink sink;
+    const auto start = std::chrono::steady_clock::now();
+    registry.run(runner, specs, sink);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    const double seconds = std::chrono::duration<double>(elapsed).count();
+
+    if (workers == worker_counts.front()) {
+      baseline = sink.text();
+      violations = sink.total_violations();
+    } else if (sink.text() != baseline) {
+      std::fprintf(stderr,
+                   "DETERMINISM VIOLATION: %s at %d workers differs from "
+                   "%d-worker baseline\n",
+                   what, workers, worker_counts.front());
+      return std::nullopt;
+    }
+
+    std::printf("%8d %12.1f %12.1f %12d\n", workers, seconds * 1e3,
+                specs.size() / seconds, sink.total_violations());
+  }
+  return baseline;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
@@ -46,49 +98,20 @@ int main(int argc, char** argv) {
   const std::vector<int> worker_counts =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
 
-  const conformance::ConformanceHarness harness{{.seed = 1}};
+  const conformance::ConformanceOptions options{.seed = 1};
+  const conformance::ConformanceHarness harness{options};  // builds the specs
   const auto specs = harness.differential_specs(profiles);
-
-  campaign::Registry<conformance::ConformanceRecord> registry;
-  conformance::register_conformance_executor(registry, harness, profiles);
-  campaign::WorkerPool& pool = campaign::WorkerPool::shared();
 
   std::printf("Conformance matrix%s: %zu fault kinds x %zu clients = %zu "
               "cells (2 fetches each)\n\n",
               smoke ? " (smoke mode)" : "",
               conformance::all_fault_kinds().size(), profiles.size(),
               specs.size());
-  std::printf("%8s %12s %12s %12s\n", "workers", "wall [ms]", "cells/sec",
-              "violations");
-
-  std::string baseline_table;
   int baseline_violations = 0;
-  for (const int workers : worker_counts) {
-    campaign::RunnerOptions options;
-    options.workers = workers;
-    options.pool = &pool;
-    const campaign::CampaignRunner runner{options};
-
-    conformance::VerdictTableSink sink;
-    const auto start = std::chrono::steady_clock::now();
-    registry.run(runner, specs, sink);
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    const double seconds = std::chrono::duration<double>(elapsed).count();
-
-    if (workers == worker_counts.front()) {
-      baseline_table = sink.text();
-      baseline_violations = sink.total_violations();
-    } else if (sink.text() != baseline_table) {
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION: verdict table at %d workers "
-                   "differs from %d-worker baseline\n",
-                   workers, worker_counts.front());
-      return 1;
-    }
-
-    std::printf("%8d %12.1f %12.1f %12d\n", workers, seconds * 1e3,
-                specs.size() / seconds, sink.total_violations());
-  }
+  const std::optional<std::string> baseline_table =
+      run_at_worker_counts("verdict table", options, profiles, specs,
+                           worker_counts, baseline_violations);
+  if (!baseline_table) return 1;
 
   std::printf("\nAll worker counts produced a byte-identical verdict table "
               "(%d violations across %zu cells).\n",
@@ -112,36 +135,11 @@ int main(int argc, char** argv) {
   std::printf("\nSchedule cells: %zu generated schedules x %zu clients = %zu "
               "cells (2 fetches each)\n\n",
               schedule_count, profiles.size(), schedule_specs.size());
-  std::printf("%8s %12s %12s %12s\n", "workers", "wall [ms]", "cells/sec",
-              "violations");
-
-  std::string schedule_baseline;
   int schedule_violations = 0;
-  for (const int workers : worker_counts) {
-    campaign::RunnerOptions options;
-    options.workers = workers;
-    options.pool = &pool;
-    const campaign::CampaignRunner runner{options};
-
-    conformance::VerdictTableSink sink;
-    const auto start = std::chrono::steady_clock::now();
-    registry.run(runner, schedule_specs, sink);
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    const double seconds = std::chrono::duration<double>(elapsed).count();
-
-    if (workers == worker_counts.front()) {
-      schedule_baseline = sink.text();
-      schedule_violations = sink.total_violations();
-    } else if (sink.text() != schedule_baseline) {
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION: schedule-cell verdict table at %d "
-                   "workers differs from %d-worker baseline\n",
-                   workers, worker_counts.front());
-      return 1;
-    }
-
-    std::printf("%8d %12.1f %12.1f %12d\n", workers, seconds * 1e3,
-                schedule_specs.size() / seconds, sink.total_violations());
+  if (!run_at_worker_counts("schedule-cell verdict table", options, profiles,
+                            schedule_specs, worker_counts,
+                            schedule_violations)) {
+    return 1;
   }
 
   std::printf("\nAll worker counts produced a byte-identical schedule-cell "
@@ -154,7 +152,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", table_path.c_str());
       return 1;
     }
-    std::fwrite(baseline_table.data(), 1, baseline_table.size(), f);
+    std::fwrite(baseline_table->data(), 1, baseline_table->size(), f);
     std::fclose(f);
     std::printf("Wrote %s\n", table_path.c_str());
   }

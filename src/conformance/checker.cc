@@ -1,6 +1,8 @@
 #include "conformance/checker.h"
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "capture/analysis.h"
@@ -131,7 +133,7 @@ std::unique_ptr<World> build_world(
     const clients::ClientProfile& profile, const ConformanceOptions& options,
     const std::vector<std::pair<simnet::Ipv4Address, simnet::Ipv6Address>>&
         decoys,
-    FaultSchedule schedule, std::uint64_t cell_seed) {
+    std::span<const TimedFault> faults, std::uint64_t cell_seed) {
   // Fixed world literals parsed once per process, not once per cell.
   static const IpAddress server_v4 = IpAddress::must_parse("10.0.0.80");
   static const IpAddress server_v6 = IpAddress::must_parse("2001:db8::80");
@@ -185,8 +187,7 @@ std::unique_ptr<World> build_world(
     zone.add_aaaa(w->name, v6);
   }
 
-  w->injector =
-      arena.create<ScheduleInjector>(std::move(schedule), w->net->loop());
+  w->injector = arena.create<ScheduleInjector>(faults, w->net->loop(), &arena);
   w->injector->attach(*w->auth);
   w->injector->attach(*w->server_tcp);
   w->injector->attach(*w->server_quic);
@@ -207,26 +208,60 @@ std::unique_ptr<World> build_world(
 ConformanceRecord ConformanceHarness::run_spec(
     const clients::ClientProfile& profile,
     const campaign::ScenarioSpec& spec) const {
+  const auto* cell = spec.get_if<campaign::ScheduleCase>();
+  if (cell == nullptr) return run_cell(profile, spec);
+  std::optional<ConformanceRecord> shared;
+  {
+    util::MutexLock lock{shared_mutex_};
+    for (const SharedCell& c : shared_) {
+      if (c.seed == spec.seed && c.record.fetches == cell->fetches &&
+          *c.record.schedule == cell->schedule &&
+          c.profile.same_behaviour(profile)) {
+        shared = c.record;
+        break;
+      }
+    }
+  }
+  if (shared) {
+    shared->client = profile.display_name();
+    return std::move(*shared);
+  }
+  ConformanceRecord record = run_cell(profile, spec);
+  SharedCell kept{spec.seed, profile, record};
+  util::MutexLock lock{shared_mutex_};
+  if (shared_.size() < kSharedCells) {
+    shared_.push_back(std::move(kept));
+  } else {
+    shared_[shared_next_] = std::move(kept);
+    shared_next_ = (shared_next_ + 1) % kSharedCells;
+  }
+  return record;
+}
+
+ConformanceRecord ConformanceHarness::run_cell(
+    const clients::ClientProfile& profile,
+    const campaign::ScenarioSpec& spec) const {
   ConformanceRecord record;
-  FaultSchedule schedule;
+  // A single fault is a one-entry schedule: trigger kNone, start 0, open
+  // window — active for the whole run, seeded from the plan's rng_seed().
+  TimedFault single;
+  std::span<const TimedFault> faults;
   int fetches = 1;
   if (const auto* cell = spec.get_if<campaign::ConformanceCase>()) {
-    // A single fault is a one-entry schedule: trigger kNone, start 0, open
-    // window — active for the whole run, seeded from the plan's rng_seed().
     record.fault = cell->fault;
-    schedule.entries.push_back(TimedFault{cell->fault});
+    single.plan = cell->fault;
+    faults = {&single, 1};
     fetches = cell->fetches;
   } else if (const auto* cell2 = spec.get_if<campaign::ScheduleCase>()) {
     record.schedule = cell2->schedule;
-    schedule = cell2->schedule;
+    faults = cell2->schedule.entries;
     fetches = cell2->fetches;
   } else {
     throw std::invalid_argument(
-        lazyeye::str_format("ConformanceHarness::run_spec: unsupported case %s",
+        lazyeye::str_format("ConformanceHarness::run_cell: unsupported case %s",
                             campaign::case_name(spec.payload)));
   }
-  auto w = build_world(profile, options_, decoys_, std::move(schedule),
-                       spec.seed);
+  auto w = build_world(profile, options_, decoys_, faults, spec.seed);
 
   clients::FetchResult first_fetch;
   clients::FetchResult last_fetch;

@@ -12,6 +12,15 @@
 // Every cell replays from its plan's (seed, stream, index) triple:
 //
 //   ./build/example_conformance_probe "<client>" <fault> <seed> <stream> <index>
+//
+// Behaviour-class share. A schedule cell's world is a function of the
+// harness options, the spec seed, `fetches`, the schedule and the profile's
+// behaviour, never of its display name, so profiles of one behaviour class
+// (ClientProfile::same_behaviour) produce equal records. run_spec therefore
+// keeps the most recent schedule-cell records in the harness instance and
+// serves a later cell of the same class from a copy, with only `client`
+// rewritten. Single-fault cells are never shared: each profile's plan has
+// its own index and so its own world seed.
 #pragma once
 
 #include <memory>
@@ -28,6 +37,8 @@
 #include "conformance/fault.h"
 #include "conformance/rules.h"
 #include "conformance/schedule.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace lazyeye::conformance {
 
@@ -86,9 +97,26 @@ class ConformanceHarness {
       const std::vector<clients::ClientProfile>& profiles,
       int repetitions = 1) const;
 
-  /// Stateless executor: builds the cell's faulted world, runs it, and
-  /// evaluates the rules. Thread-safe across distinct specs.
+  /// Executor: the record of `spec` against `profile`, equal to what
+  /// run_cell returns. Thread-safe. A schedule cell first looks for an
+  /// earlier record of this harness with the same spec seed, `fetches` and
+  /// schedule from a profile that same_behaviour() matches (exact fields,
+  /// cheap ones first, no hashes) and copies it with `client` set to this
+  /// profile's display name; on a miss it simulates and keeps the record.
+  /// Only the last kSharedCells records are kept, which covers a
+  /// schedule-major matrix (one schedule's cells adjacent). The lock is
+  /// held for the lookup and the insert, never across a simulation: two
+  /// workers that miss the same key both simulate it and keep equal
+  /// records. Single-fault cells always simulate (each profile's plan index
+  /// gives it its own world seed).
   ConformanceRecord run_spec(const clients::ClientProfile& profile,
+                             const campaign::ScenarioSpec& spec) const;
+
+  /// The unshared cell: builds the cell's faulted world, runs it, and
+  /// evaluates the rules. Stateless and thread-safe. For callers that
+  /// already run one cell per behaviour class (FaultHunt::evaluate), so
+  /// they do not pay for the share's lookup and insert.
+  ConformanceRecord run_cell(const clients::ClientProfile& profile,
                              const campaign::ScenarioSpec& spec) const;
 
   /// Replays one cell from its plan — the probe example's entry point.
@@ -102,9 +130,23 @@ class ConformanceHarness {
                                     int fetches = 2) const;
 
  private:
+  /// A simulated schedule cell; the schedule and `fetches` are the record's.
+  struct SharedCell {
+    std::uint64_t seed = 0;
+    clients::ClientProfile profile;
+    ConformanceRecord record;
+  };
+  static constexpr std::size_t kSharedCells = 32;
+
   ConformanceOptions options_;
   /// decoys_per_family (IPv4, IPv6) decoy address pairs, parsed once.
   std::vector<std::pair<simnet::Ipv4Address, simnet::Ipv6Address>> decoys_;
+
+  mutable util::Mutex shared_mutex_;
+  /// Ring of the last kSharedCells schedule-cell records; shared_next_ is
+  /// the oldest once the ring is full.
+  mutable std::vector<SharedCell> shared_ GUARDED_BY(shared_mutex_);
+  mutable std::size_t shared_next_ GUARDED_BY(shared_mutex_) = 0;
 };
 
 /// Plugs ConformanceCase AND ScheduleCase into a campaign registry (both

@@ -315,17 +315,20 @@ AcceptAction fault_accept_action(const FaultPlan& plan,
 
 }  // namespace
 
-ScheduleInjector::ScheduleInjector(FaultSchedule schedule,
-                                   const simnet::EventLoop& loop)
-    : schedule_{std::move(schedule)}, loop_{&loop} {
-  rngs_.reserve(schedule_.entries.size());
-  for (const TimedFault& entry : schedule_.entries) {
+ScheduleInjector::ScheduleInjector(std::span<const TimedFault> entries,
+                                   const simnet::EventLoop& loop,
+                                   std::pmr::memory_resource* memory)
+    : entries_{entries.begin(), entries.end(), memory},
+      loop_{&loop},
+      rngs_{memory} {
+  rngs_.reserve(entries_.size());
+  for (const TimedFault& entry : entries_) {
     rngs_.emplace_back(entry.plan.rng_seed());
   }
 }
 
 bool ScheduleInjector::needs_dns_hook() const {
-  for (const TimedFault& entry : schedule_.entries) {
+  for (const TimedFault& entry : entries_) {
     if (dns_fault_kind(entry.plan.kind)) return true;
     // DNS-side triggers are observed from the same hook even when every
     // fault in the schedule lives elsewhere.
@@ -338,7 +341,7 @@ bool ScheduleInjector::needs_dns_hook() const {
 }
 
 bool ScheduleInjector::needs_tcp_hook() const {
-  for (const TimedFault& entry : schedule_.entries) {
+  for (const TimedFault& entry : entries_) {
     if (tcp_fault_kind(entry.plan.kind)) return true;
     if (entry.trigger == TriggerKind::kAfterFirstSyn) return true;
   }
@@ -346,7 +349,7 @@ bool ScheduleInjector::needs_tcp_hook() const {
 }
 
 bool ScheduleInjector::needs_quic_hook() const {
-  for (const TimedFault& entry : schedule_.entries) {
+  for (const TimedFault& entry : entries_) {
     if (entry.plan.kind == FaultKind::kQuicDrop) return true;
   }
   return false;
@@ -387,7 +390,7 @@ void ScheduleInjector::attach(transport::QuicStack& quic) {
 }
 
 bool ScheduleInjector::entry_active(std::size_t i) const {
-  const TimedFault& entry = schedule_.entries[i];
+  const TimedFault& entry = entries_[i];
   std::optional<SimTime> anchor;
   switch (entry.trigger) {
     case TriggerKind::kNone: anchor = SimTime{0}; break;
@@ -411,8 +414,8 @@ void ScheduleInjector::on_dns_response(const dns::DnsMessage& query,
                                        dns::DnsMessage& response,
                                        SimTime& delay,
                                        dns::ResponseDirectives& out) {
-  for (std::size_t i = 0; i < schedule_.entries.size(); ++i) {
-    const TimedFault& entry = schedule_.entries[i];
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const TimedFault& entry = entries_[i];
     if (!dns_fault_kind(entry.plan.kind) || !entry_active(i)) continue;
     // apply_dns_fault overwrites out.mutate_wire; chain so every active
     // wire-mutating entry runs, in schedule order.
@@ -445,8 +448,8 @@ void ScheduleInjector::on_dns_response(const dns::DnsMessage& query,
 AcceptAction ScheduleInjector::on_accept(bool quic,
                                          const simnet::Endpoint& peer) {
   AcceptAction action = AcceptAction::kAccept;
-  for (std::size_t i = 0; i < schedule_.entries.size(); ++i) {
-    const TimedFault& entry = schedule_.entries[i];
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const TimedFault& entry = entries_[i];
     const bool layer_match = quic ? entry.plan.kind == FaultKind::kQuicDrop
                                   : tcp_fault_kind(entry.plan.kind);
     if (!layer_match || !entry_active(i)) continue;

@@ -26,7 +26,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory_resource>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -150,11 +152,14 @@ SimTime sample_window_duration(SplitMix64& rng);
 /// single fault is a one-entry schedule (trigger kNone, start 0, open
 /// window). The injector reads the event loop's clock to evaluate windows;
 /// its hooks capture `this`, so it must outlive the stacks it attaches to.
+/// It copies the entries and keeps them and their mutation streams in
+/// `memory` (a conformance cell passes its world arena, so a warm cell
+/// allocates nothing here).
 class ScheduleInjector {
  public:
-  ScheduleInjector(FaultSchedule schedule, const simnet::EventLoop& loop);
-
-  const FaultSchedule& schedule() const { return schedule_; }
+  ScheduleInjector(
+      std::span<const TimedFault> entries, const simnet::EventLoop& loop,
+      std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
   /// Install hooks on layers the schedule targets or must observe for a
   /// trigger. No-ops elsewhere (null-hook fast path untouched).
@@ -176,12 +181,12 @@ class ScheduleInjector {
                        dns::ResponseDirectives& out);
   transport::AcceptAction on_accept(bool quic, const simnet::Endpoint& peer);
 
-  FaultSchedule schedule_;
+  std::pmr::vector<TimedFault> entries_;
   const simnet::EventLoop* loop_;
   /// One mutation stream per entry, seeded from the entry plan's rng_seed()
   /// — entry k of a schedule draws identically no matter which other
   /// entries are active (what keeps delta-minimization replayable).
-  std::vector<SplitMix64> rngs_;
+  std::pmr::vector<SplitMix64> rngs_;
 
   // Trigger anchors: set after the first matching event is evaluated.
   std::optional<SimTime> first_dns_query_;

@@ -224,7 +224,9 @@ FaultSchedule FaultHunt::propose(State& state, std::uint32_t index) const {
 
 std::vector<ConformanceRecord> FaultHunt::evaluate(
     const FaultSchedule& schedule) const {
-  // One cell per behaviour class; spec.id is the class index.
+  // One cell per behaviour class; spec.id is the class index. The executor
+  // calls run_cell: the harness's own schedule-cell share would only add a
+  // lookup and an insert to cells that are already one per class.
   std::vector<campaign::ScenarioSpec> specs;
   specs.reserve(representatives_.size());
   for (std::size_t c = 0; c < representatives_.size(); ++c) {
@@ -238,7 +240,7 @@ std::vector<ConformanceRecord> FaultHunt::evaluate(
   const campaign::CampaignRunner runner{runner_options};
   const std::function<ConformanceRecord(const campaign::ScenarioSpec&)>
       executor = [this](const campaign::ScenarioSpec& spec) {
-        return harness_.run_spec(profiles_[representatives_[spec.id]], spec);
+        return harness_.run_cell(profiles_[representatives_[spec.id]], spec);
       };
   const std::vector<ConformanceRecord> class_records =
       runner.run<ConformanceRecord>(specs, executor);

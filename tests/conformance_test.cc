@@ -16,6 +16,7 @@
 #include "dns/auth_server.h"
 #include "dns/client.h"
 #include "simnet/network.h"
+#include "simnet/scenario_pool.h"
 #include "transport/quic.h"
 #include "transport/tcp.h"
 
@@ -259,7 +260,7 @@ TEST_F(DnsHookFixture, DelayDirectivePostponesTheAnswer) {
 TEST_F(DnsHookFixture, InjectorLeavesHooksUnsetForTransportKinds) {
   FaultSchedule schedule;
   schedule.entries.push_back(TimedFault{FaultPlan{FaultKind::kTcpReset}});
-  ScheduleInjector injector{schedule, net.loop()};
+  ScheduleInjector injector{schedule.entries, net.loop()};
   injector.attach(*auth);  // TCP kind: the DNS fast path must stay hook-free
   const auto outcome = ask();
   EXPECT_TRUE(outcome.ok);
@@ -555,6 +556,145 @@ TEST(HarnessTest, VerdictTableIsByteIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(sink.text(), baseline) << "workers=" << workers;
     }
   }
+}
+
+// -------------------------------------------------- behaviour-class share ----
+
+/// Worlds the calling thread built while `run` ran: 1 for a simulated cell,
+/// 0 for a record the harness served from its share.
+template <typename Run>
+std::uint64_t worlds_built(Run&& run) {
+  const std::uint64_t before = simnet::ScenarioPool::local().leases();
+  run();
+  return simnet::ScenarioPool::local().leases() - before;
+}
+
+const FaultSchedule& share_schedule() {
+  static const FaultSchedule schedule = FaultSchedule::generate(1, 0xFA, 3);
+  return schedule;
+}
+
+// The performance matrix's schedule half: 18 clients (five behaviour
+// classes) x 24 generated schedules. Shared or not, every record, `client`
+// included, must be the one a harness of its own would produce.
+TEST(ScheduleShareTest, SharedMatrixEqualsAFreshHarnessPerCell) {
+  const ConformanceOptions options{.seed = 1};
+  std::vector<clients::ClientProfile> profiles =
+      clients::local_testbed_profiles();
+  profiles.push_back(clients::safari_profile("17.6"));
+
+  const ConformanceHarness harness{options};
+  std::vector<campaign::ScenarioSpec> specs;
+  std::vector<ConformanceRecord> fresh;
+  for (std::uint32_t index = 0; index < 24; ++index) {
+    const FaultSchedule schedule = FaultSchedule::generate(1, 0xFA, index);
+    for (const clients::ClientProfile& profile : profiles) {
+      specs.push_back(harness.schedule_spec(profile, schedule, 2));
+      specs.back().id = specs.size() - 1;
+      fresh.push_back(
+          ConformanceHarness{options}.run_spec(profile, specs.back()));
+    }
+  }
+
+  campaign::Registry<ConformanceRecord> registry;
+  register_conformance_executor(registry, harness, profiles);
+  for (const int workers : {1, 8}) {
+    const auto result = registry.run_collect(
+        campaign::CampaignRunner{{.workers = workers}}, specs);
+    ASSERT_EQ(result.outcomes.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_TRUE(result.outcomes[i] == fresh[i])
+          << "workers=" << workers << " " << specs[i].label << " "
+          << result.outcomes[i].symbols() << " vs " << fresh[i].symbols();
+    }
+  }
+}
+
+TEST(ScheduleShareTest, AClassMemberIsServedACopy) {
+  const ConformanceHarness harness;
+  const clients::ClientProfile chrome = profile_named("Chrome 130.0");
+  const clients::ClientProfile chrome_120 = profile_named("Chrome 120.0");
+  EXPECT_EQ(worlds_built(
+                [&] { harness.replay_schedule(chrome, share_schedule()); }),
+            1u);
+  ConformanceRecord record;
+  EXPECT_EQ(worlds_built([&] {
+              record = harness.replay_schedule(chrome_120, share_schedule());
+            }),
+            0u);
+  EXPECT_EQ(record.client, "Chrome 120.0");
+  EXPECT_TRUE(record == ConformanceHarness{}.replay_schedule(chrome_120,
+                                                             share_schedule()));
+}
+
+TEST(ScheduleShareTest, SingleFaultCellsAlwaysSimulate) {
+  const ConformanceHarness harness;
+  const clients::ClientProfile chrome = profile_named("Chrome 130.0");
+  const FaultPlan plan{FaultKind::kDnsDelaySpike};
+  harness.replay(chrome, plan);
+  EXPECT_EQ(worlds_built([&] { harness.replay(chrome, plan); }), 1u);
+}
+
+TEST(ScheduleShareTest, NoShareAcrossFetches) {
+  const ConformanceHarness harness;
+  const clients::ClientProfile chrome = profile_named("Chrome 130.0");
+  harness.replay_schedule(chrome, share_schedule(), 2);
+  ConformanceRecord record;
+  EXPECT_EQ(worlds_built([&] {
+              record = harness.replay_schedule(chrome, share_schedule(), 1);
+            }),
+            1u);
+  EXPECT_TRUE(record == ConformanceHarness{}.replay_schedule(
+                            chrome, share_schedule(), 1));
+}
+
+TEST(ScheduleShareTest, NoShareAcrossABehaviourChange) {
+  const ConformanceHarness harness;
+  const clients::ClientProfile chrome = profile_named("Chrome 130.0");
+  clients::ClientProfile slow_chrome = chrome;
+  slow_chrome.options.connection_attempt_delay = ms(301);
+  harness.replay_schedule(chrome, share_schedule());
+  ConformanceRecord record;
+  EXPECT_EQ(worlds_built([&] {
+              record = harness.replay_schedule(slow_chrome, share_schedule());
+            }),
+            1u);
+  EXPECT_TRUE(record == ConformanceHarness{}.replay_schedule(
+                            slow_chrome, share_schedule()));
+}
+
+TEST(ScheduleShareTest, NoShareAcrossHarnesses) {
+  const ConformanceHarness first{{.seed = 1}};
+  const ConformanceHarness second{{.seed = 2}};
+  const clients::ClientProfile chrome = profile_named("Chrome 130.0");
+  first.replay_schedule(chrome, share_schedule());
+  ConformanceRecord record;
+  EXPECT_EQ(worlds_built([&] {
+              record = second.replay_schedule(chrome, share_schedule());
+            }),
+            1u);
+  EXPECT_TRUE(record == ConformanceHarness{{.seed = 2}}.replay_schedule(
+                            chrome, share_schedule()));
+}
+
+// The share keeps the last 32 records: a schedule 32 inserts back is gone,
+// the newest is still there.
+TEST(ScheduleShareTest, OnlyTheMostRecentRecordsAreKept) {
+  const ConformanceHarness harness;
+  const clients::ClientProfile chrome = profile_named("Chrome 130.0");
+  for (std::uint32_t index = 0; index <= 32; ++index) {
+    harness.replay_schedule(chrome, FaultSchedule::generate(1, 0xFA, index));
+  }
+  EXPECT_EQ(worlds_built([&] {
+              harness.replay_schedule(chrome,
+                                      FaultSchedule::generate(1, 0xFA, 32));
+            }),
+            0u);
+  EXPECT_EQ(worlds_built([&] {
+              harness.replay_schedule(chrome,
+                                      FaultSchedule::generate(1, 0xFA, 0));
+            }),
+            1u);
 }
 
 }  // namespace
