@@ -44,6 +44,15 @@ std::set<std::string> violation_key(
   return key;
 }
 
+/// The first element of `sig` not yet in `coverage` ("" = nothing novel).
+std::string first_novel(const std::set<std::string>& coverage,
+                        const std::vector<std::string>& sig) {
+  for (const std::string& element : sig) {
+    if (coverage.find(element) == coverage.end()) return element;
+  }
+  return {};
+}
+
 TimedFault seeded_entry(SplitMix64& rng, std::uint64_t seed,
                         std::uint32_t stream, std::uint32_t plan_index) {
   TimedFault tf;
@@ -190,7 +199,7 @@ struct FaultHunt::State {
 struct FaultHunt::Candidate {
   FaultSchedule schedule;
   std::vector<ConformanceRecord> records;  // profile order
-  std::optional<FaultSchedule> minimized;  // set when the candidate violates
+  std::optional<FaultSchedule> minimized;  // set when novel and violating
 };
 
 FaultHunt::FaultHunt(HuntOptions options,
@@ -309,25 +318,22 @@ FaultSchedule FaultHunt::minimize(
   return best;
 }
 
-void FaultHunt::apply(State& state, const Candidate& candidate) const {
-  const std::vector<std::string> sig = coverage_signature(candidate.records);
-  std::string first_novel;
-  for (const std::string& element : sig) {
-    if (state.coverage.find(element) == state.coverage.end()) {
-      first_novel = element;
-      break;
-    }
-  }
-  for (const std::string& element : sig) state.coverage.insert(element);
+void FaultHunt::apply(State& state, const Candidate& candidate,
+                      std::vector<std::string> sig,
+                      std::string novelty) const {
   const int violations = total_violations(candidate.records);
   if (violations > 0) ++state.violating;
-  if (!first_novel.empty()) {
+  // A candidate with nothing novel has every element of `sig` covered.
+  if (!novelty.empty()) {
+    for (std::string& element : sig) {
+      state.coverage.insert(std::move(element));
+    }
     CorpusEntry entry;
     entry.schedule =
         candidate.minimized ? *candidate.minimized : candidate.schedule;
     entry.violations = violations;
     entry.minimized = candidate.minimized.has_value();
-    entry.novelty = std::move(first_novel);
+    entry.novelty = std::move(novelty);
     state.corpus.push_back(std::move(entry));
   }
 }
@@ -475,7 +481,9 @@ HuntResult FaultHunt::run() {
           throw campaign::JournalError(
               "hunt journal diverges from the deterministic proposal stream");
         }
-        apply(state, candidate);
+        std::vector<std::string> sig = coverage_signature(candidate.records);
+        std::string novelty = first_novel(state.coverage, sig);
+        apply(state, candidate, std::move(sig), std::move(novelty));
       }
       start_index = load.resume_index();
       result.resumed = start_index > 0 || !load.snapshot_state.empty();
@@ -504,10 +512,14 @@ HuntResult FaultHunt::run() {
       Candidate candidate;
       candidate.schedule = propose(state, static_cast<std::uint32_t>(i));
       candidate.records = evaluate(candidate.schedule);
-      if (total_violations(candidate.records) > 0) {
+      // Only a novel candidate enters the corpus, and novelty reads the
+      // records alone: minimising any other violator would be thrown away.
+      std::vector<std::string> sig = coverage_signature(candidate.records);
+      std::string novelty = first_novel(state.coverage, sig);
+      if (!novelty.empty() && total_violations(candidate.records) > 0) {
         candidate.minimized = minimize(candidate.schedule, candidate.records);
       }
-      apply(state, candidate);
+      apply(state, candidate, std::move(sig), std::move(novelty));
       if (writer) writer->append_cell(i, encode_candidate(candidate));
       if (options_.after_cell) options_.after_cell(static_cast<int>(i));
       if (writer && (i + 1) % static_cast<std::uint64_t>(

@@ -7,10 +7,12 @@
 // against the client profiles; its fitness is *novelty* — the coverage
 // signature (client, rule, verdict symbol, digit-stripped evidence bucket)
 // plus per-rule cross-client verdict diffs — and novel candidates enter the
-// corpus. Candidates that violate a rule are first delta-minimized (drop
+// corpus. Novelty is decided on the candidate's records before anything
+// else; a novel candidate that violates a rule is then delta-minimized (drop
 // entries, zero/shrink windows) while the exact set of (client, rule)
 // violations is preserved, so every corpus violation is a smallest-found
-// replayable reproducer.
+// replayable reproducer. A violating candidate that covers nothing new
+// never reaches the corpus and is not minimized.
 //
 // Behaviour classes: profiles equal in everything but their display identity
 // (ClientProfile::same_behaviour) produce identical schedule cells — the
@@ -23,12 +25,13 @@
 //
 // Crash safety: with journal_path set the hunt is a journaled campaign over
 // its candidate indices (campaign/journal.h). One kCell record per
-// candidate carries the proposed schedule, every per-profile record, and
-// the minimized schedule — enough to replay the hunt's state transitions
-// WITHOUT re-running any world. Periodic kSnapshot records checkpoint the
-// whole search state (mutation RNG state, coverage set, corpus), so resume
-// is snapshot + short tail replay. A SIGKILL at any instant resumes to a
-// byte-identical journal and corpus (tests/fault_search_test.cc).
+// candidate carries the proposed schedule, every per-profile record, and,
+// for a novel violating candidate only, the minimized schedule — enough to
+// replay the hunt's state transitions WITHOUT re-running any world.
+// Periodic kSnapshot records checkpoint the whole search state (mutation
+// RNG state, coverage set, corpus), so resume is snapshot + short tail
+// replay. A SIGKILL at any instant resumes to a byte-identical journal and
+// corpus (tests/fault_search_test.cc).
 //
 // Everything the hunt derives — proposals, worlds, verdicts, minimization —
 // is a pure function of (seed, budget, profiles), so two hunts with equal
@@ -147,7 +150,11 @@ class FaultHunt {
   std::vector<ConformanceRecord> evaluate(const FaultSchedule& schedule) const;
   FaultSchedule minimize(const FaultSchedule& schedule,
                          const std::vector<ConformanceRecord>& baseline) const;
-  void apply(State& state, const Candidate& candidate) const;
+  /// Folds a candidate into the state: `sig` is its coverage_signature and
+  /// `novelty` the first element of `sig` not yet covered ("" = none), both
+  /// taken before the fold.
+  void apply(State& state, const Candidate& candidate,
+             std::vector<std::string> sig, std::string novelty) const;
 
   std::string encode_state(const State& state) const;
   State decode_state(std::string_view bytes) const;

@@ -26,8 +26,11 @@
 #include "campaign/scenario.h"
 #include "clients/profiles.h"
 #include "conformance/checker.h"
+#include "conformance/record_codec.h"
 #include "conformance/schedule.h"
 #include "conformance/search.h"
+#include "conformance/wire.h"
+#include "simnet/scenario_pool.h"
 #include "util/time.h"
 
 namespace lazyeye::conformance {
@@ -147,6 +150,57 @@ TEST(FaultSearchCrashTest, KillNineMidHuntThenResumeIsByteIdentical) {
   kill_resume_round(11, reference_journal, reference_corpus);
 }
 
+/// What a hunt kCell payload (FaultHunt::encode_candidate) says about its
+/// candidate: whether any per-profile record violates a rule, and whether
+/// the cell carries a minimized schedule.
+struct CellSummary {
+  bool violates = false;
+  bool minimized = false;
+};
+
+CellSummary summarize_cell(std::string_view payload) {
+  wire::Reader in{payload};
+  in.str();  // the proposed schedule
+  CellSummary summary;
+  summary.minimized = in.u8() == 1;
+  if (summary.minimized) in.str();
+  const std::uint32_t records = in.u32();
+  for (std::uint32_t i = 0; i < records; ++i) {
+    const auto record = decode_record(in.str());
+    EXPECT_TRUE(record.has_value());
+    if (record && record->violations() > 0) summary.violates = true;
+  }
+  EXPECT_TRUE(in.exhausted());
+  return summary;
+}
+
+// A violating candidate that covers nothing new is journaled without a
+// minimized schedule. Killing the hunt right after one, between snapshots,
+// makes the resume fold it in by tail replay, which takes its coverage
+// signature from the journaled records alone.
+TEST(FaultSearchCrashTest, KillAfterAnUnminimizedViolatorResumesByteIdentical) {
+  const std::string reference_path = tmp_path("hunt_unminimized.journal");
+  FaultHunt reference{hunt_options(reference_path), hunt_profiles()};
+  const HuntResult expected = reference.run();
+  const std::string reference_journal = read_file(reference_path);
+
+  const campaign::JournalLoad load = campaign::load_journal(reference_path);
+  const int every = hunt_options("").snapshot_every;
+  int kill_after = -1;
+  for (const campaign::JournalLoad::Cell& cell : load.cells) {
+    const int index = static_cast<int>(cell.index);
+    const CellSummary summary = summarize_cell(cell.payload);
+    if (summary.violates && !summary.minimized && (index + 1) % every != 0) {
+      kill_after = index;
+      break;
+    }
+  }
+  ASSERT_GE(kill_after, 0)
+      << "no unminimized violating candidate between snapshots";
+  kill_resume_round(kill_after, reference_journal,
+                    FaultHunt::corpus_text(expected.corpus));
+}
+
 TEST(FaultSearchCrashTest, CompletedJournalReloadsWithoutRerun) {
   const std::string path = tmp_path("hunt_complete.journal");
   FaultHunt first{hunt_options(path), hunt_profiles()};
@@ -193,6 +247,41 @@ TEST(FaultSearchGoldenTest, FullProfileHuntMatchesTheGoldenCorpus) {
   EXPECT_EQ(FaultHunt::corpus_text(result.corpus),
             read_file(std::string{LAZYEYE_TEST_DATA_DIR} +
                       "/hunt_full_seed7_budget64.corpus"));
+}
+
+// Minimizing a candidate re-runs its worlds; only novel violators enter the
+// corpus, so only they may pay for it. With workers=1 every world is leased
+// from the calling thread's pool: one per behaviour class per evaluation.
+TEST(FaultSearchGoldenTest, OnlyCorpusViolatorsPayForMinimization) {
+  constexpr std::uint64_t kClasses = 4;
+  HuntOptions options;
+  options.seed = 7;
+  options.budget = 64;
+  options.workers = 1;
+  options.conformance.seed = 7;
+  std::vector<std::uint64_t> worlds;
+  std::uint64_t leased = simnet::ScenarioPool::local().leases();
+  options.after_cell = [&](int) {
+    const std::uint64_t now = simnet::ScenarioPool::local().leases();
+    worlds.push_back(now - leased);
+    leased = now;
+  };
+  FaultHunt hunt{options, clients::local_testbed_profiles()};
+  const HuntResult result = hunt.run();
+  ASSERT_EQ(worlds.size(), 64u);
+
+  int minimized = 0;
+  for (const std::uint64_t built : worlds) {
+    EXPECT_GE(built, kClasses);
+    if (built > kClasses) ++minimized;
+  }
+  int violating_entries = 0;
+  for (const CorpusEntry& entry : result.corpus) {
+    if (entry.violations > 0) ++violating_entries;
+  }
+  EXPECT_GT(minimized, 0);
+  EXPECT_LE(minimized, violating_entries)
+      << result.violating_candidates << " violating candidates";
 }
 
 // -------------------------------------------------------- schedule codec ----

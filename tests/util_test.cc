@@ -3,6 +3,7 @@
 #include <set>
 
 #include "util/bytes.h"
+#include "util/flags.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -250,6 +251,24 @@ TEST(StringsTest, ParseU64) {
   EXPECT_FALSE(parse_u64(""));
   EXPECT_FALSE(parse_u64("12x"));
   EXPECT_FALSE(parse_u64("-1"));
+}
+
+TEST(StringsTest, ParseFlagKeepsTheValueInItsBounds) {
+  int count = 7;
+  EXPECT_TRUE(parse_flag("--n", "1", 1, 256, count));
+  EXPECT_EQ(count, 1);
+  EXPECT_TRUE(parse_flag("--n", "256", 1, 256, count));
+  EXPECT_EQ(count, 256);
+  for (const char* bad : {"0", "257", "100000", "x", "12abc", "-1", "+5",
+                          " 5", "", "99999999999999999999"}) {
+    EXPECT_FALSE(parse_flag("--n", bad, 1, 256, count)) << bad;
+  }
+  EXPECT_EQ(count, 256);  // a refused value leaves the old one
+
+  std::uint64_t seed = 0;
+  EXPECT_TRUE(parse_flag("--seed", "18446744073709551615", 0, UINT64_MAX,
+                         seed));
+  EXPECT_EQ(seed, UINT64_MAX);
 }
 
 TEST(StringsTest, Format) {

@@ -15,9 +15,8 @@
 // Replay contract: every corpus schedule reproduces verdict-for-verdict via
 //
 //   ./build/example_conformance_probe "<client>" --schedule-hex <hex>
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "clients/profiles.h"
 #include "conformance/schedule.h"
 #include "conformance/search.h"
+#include "util/flags.h"
 
 using namespace lazyeye;
 
@@ -38,28 +38,6 @@ int usage() {
       "         [--fetches F] [--smoke]\n"
       "       lazyeye_hunt show --corpus <path>\n");
   return 2;
-}
-
-/// Strict numeric parsing: the whole token must be a base-10 number that
-/// fits the destination, else false (no atoi-style silent zeroes).
-bool parse_u64(const char* s, std::uint64_t& out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || std::strchr(s, '-') != nullptr) {
-    return false;
-  }
-  out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool parse_int(const char* s, int lo, int hi, int& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(s, v) || v > static_cast<std::uint64_t>(hi)) return false;
-  if (static_cast<int>(v) < lo) return false;
-  out = static_cast<int>(v);
-  return true;
 }
 
 struct Args {
@@ -78,46 +56,34 @@ bool parse_args(int argc, char** argv, Args& args) {
   if (argc < 2) return false;
   args.cmd = argv[1];
   for (int a = 2; a < argc; ++a) {
+    const char* flag = argv[a];
     const auto next = [&]() -> const char* {
       return a + 1 < argc ? argv[++a] : nullptr;
     };
     const char* value = nullptr;
-    if (std::strcmp(argv[a], "--journal") == 0 && (value = next())) {
+    bool ok = true;
+    if (std::strcmp(flag, "--journal") == 0 && (value = next())) {
       args.journal = value;
-    } else if (std::strcmp(argv[a], "--corpus") == 0 && (value = next())) {
+    } else if (std::strcmp(flag, "--corpus") == 0 && (value = next())) {
       args.corpus = value;
-    } else if (std::strcmp(argv[a], "--seed") == 0 && (value = next())) {
-      if (!parse_u64(value, args.seed)) {
-        std::fprintf(stderr, "bad --seed: %s\n", value);
-        return false;
-      }
-    } else if (std::strcmp(argv[a], "--budget") == 0 && (value = next())) {
-      if (!parse_int(value, 1, 1 << 20, args.budget)) {
-        std::fprintf(stderr, "bad --budget: %s\n", value);
-        return false;
-      }
-    } else if (std::strcmp(argv[a], "--snapshot-every") == 0 &&
+    } else if (std::strcmp(flag, "--seed") == 0 && (value = next())) {
+      ok = parse_flag(flag, value, 0, UINT64_MAX, args.seed);
+    } else if (std::strcmp(flag, "--budget") == 0 && (value = next())) {
+      ok = parse_flag(flag, value, 1, 1 << 20, args.budget);
+    } else if (std::strcmp(flag, "--snapshot-every") == 0 &&
                (value = next())) {
-      if (!parse_int(value, 1, 1 << 20, args.snapshot_every)) {
-        std::fprintf(stderr, "bad --snapshot-every: %s\n", value);
-        return false;
-      }
-    } else if (std::strcmp(argv[a], "--workers") == 0 && (value = next())) {
-      if (!parse_int(value, 1, 256, args.workers)) {
-        std::fprintf(stderr, "bad --workers: %s\n", value);
-        return false;
-      }
-    } else if (std::strcmp(argv[a], "--fetches") == 0 && (value = next())) {
-      if (!parse_int(value, 1, 16, args.fetches)) {
-        std::fprintf(stderr, "bad --fetches: %s\n", value);
-        return false;
-      }
-    } else if (std::strcmp(argv[a], "--smoke") == 0) {
+      ok = parse_flag(flag, value, 1, 1 << 20, args.snapshot_every);
+    } else if (std::strcmp(flag, "--workers") == 0 && (value = next())) {
+      ok = parse_flag(flag, value, 1, 256, args.workers);
+    } else if (std::strcmp(flag, "--fetches") == 0 && (value = next())) {
+      ok = parse_flag(flag, value, 1, 16, args.fetches);
+    } else if (std::strcmp(flag, "--smoke") == 0) {
       args.smoke = true;
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[a]);
+      std::fprintf(stderr, "unknown argument: %s\n", flag);
       return false;
     }
+    if (!ok) return false;
   }
   if (args.cmd == "hunt") return !args.journal.empty();
   if (args.cmd == "show") return !args.corpus.empty();

@@ -33,6 +33,7 @@
 #include <sys/wait.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,6 +54,7 @@
 #include "conformance/checker.h"
 #include "conformance/record_codec.h"
 #include "util/clock.h"
+#include "util/flags.h"
 
 using namespace lazyeye;
 
@@ -82,40 +84,51 @@ int usage() {
   return 2;
 }
 
+// Flag bounds. Every shard is a forked process and every worker a thread,
+// so a mistyped count is refused instead of starting that many.
+constexpr int kMaxShards = 256;
+constexpr int kMaxWorkers = 256;
+constexpr int kMaxReps = 1024;
+constexpr int kMaxRounds = 100;
+constexpr std::uint64_t kMaxSlowMs = 60000;
+
 bool parse_args(int argc, char** argv, Args& args) {
   if (argc < 2) return false;
   args.cmd = argv[1];
   for (int a = 2; a < argc; ++a) {
+    const char* flag = argv[a];
     const auto next = [&]() -> const char* {
       return a + 1 < argc ? argv[++a] : nullptr;
     };
     const char* value = nullptr;
-    if (std::strcmp(argv[a], "--base") == 0 && (value = next())) {
+    bool ok = true;
+    if (std::strcmp(flag, "--base") == 0 && (value = next())) {
       args.base = value;
-    } else if (std::strcmp(argv[a], "--out") == 0 && (value = next())) {
+    } else if (std::strcmp(flag, "--out") == 0 && (value = next())) {
       args.out = value;
-    } else if (std::strcmp(argv[a], "--shards") == 0 && (value = next())) {
-      args.shards = std::atoi(value);
-    } else if (std::strcmp(argv[a], "--shard") == 0 && (value = next())) {
-      args.shard = std::atoi(value);
-    } else if (std::strcmp(argv[a], "--workers") == 0 && (value = next())) {
-      args.workers = std::atoi(value);
-    } else if (std::strcmp(argv[a], "--reps") == 0 && (value = next())) {
-      args.repetitions = std::atoi(value);
-    } else if (std::strcmp(argv[a], "--rounds") == 0 && (value = next())) {
-      args.rounds = std::atoi(value);
-    } else if (std::strcmp(argv[a], "--seed") == 0 && (value = next())) {
-      args.seed = std::strtoull(value, nullptr, 10);
-    } else if (std::strcmp(argv[a], "--slow-ms") == 0 && (value = next())) {
-      args.slow_ms = std::strtoull(value, nullptr, 10);
-    } else if (std::strcmp(argv[a], "--smoke") == 0) {
+    } else if (std::strcmp(flag, "--shards") == 0 && (value = next())) {
+      ok = parse_flag(flag, value, 1, kMaxShards, args.shards);
+    } else if (std::strcmp(flag, "--shard") == 0 && (value = next())) {
+      ok = parse_flag(flag, value, 0, kMaxShards - 1, args.shard);
+    } else if (std::strcmp(flag, "--workers") == 0 && (value = next())) {
+      ok = parse_flag(flag, value, 1, kMaxWorkers, args.workers);
+    } else if (std::strcmp(flag, "--reps") == 0 && (value = next())) {
+      ok = parse_flag(flag, value, 1, kMaxReps, args.repetitions);
+    } else if (std::strcmp(flag, "--rounds") == 0 && (value = next())) {
+      ok = parse_flag(flag, value, 1, kMaxRounds, args.rounds);
+    } else if (std::strcmp(flag, "--seed") == 0 && (value = next())) {
+      ok = parse_flag(flag, value, 0, UINT64_MAX, args.seed);
+    } else if (std::strcmp(flag, "--slow-ms") == 0 && (value = next())) {
+      ok = parse_flag(flag, value, 0, kMaxSlowMs, args.slow_ms);
+    } else if (std::strcmp(flag, "--smoke") == 0) {
       args.smoke = true;
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[a]);
+      std::fprintf(stderr, "unknown argument: %s\n", flag);
       return false;
     }
+    if (!ok) return false;
   }
-  return !args.base.empty() && args.shards >= 1;
+  return !args.base.empty();
 }
 
 /// The shared campaign definition every subcommand (and every process)
